@@ -142,7 +142,9 @@ class WarmContext:
       structure digest; reuse is value-exact at any level ≥ structure.
     * ``lp_cache`` — keyed by ``stage1_key`` plus the probe temperature,
       so entries self-invalidate when the cap changes; replay is
-      bit-exact.
+      bit-exact.  A probe's entry holds its live-model outcome, which
+      only scores the probe; the committed solution is the cold solve
+      stored under the same key plus ``"|commit"``.
     * ``seed_t`` — starting vector for the coordinate descent.  Exact
       at level ``stage1`` (it is the incumbent optimum of the identical
       search problem); heuristic at level ``structure`` and therefore

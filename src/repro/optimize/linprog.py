@@ -1,4 +1,4 @@
-"""Thin wrapper around :func:`scipy.optimize.linprog` (HiGHS).
+"""Thin wrapper around HiGHS: :func:`scipy.optimize.linprog` plus live models.
 
 All linear programs in the library are built as sparse inequality /
 equality systems and solved with the HiGHS dual simplex, which is exact
@@ -12,11 +12,36 @@ The wrapper exists so that
 * infeasibility is reported with the model name attached, and
 * constraint matrices can be assembled incrementally row-by-row without
   each call site repeating the scipy boilerplate.
+
+Two ways to solve an assembled :class:`LinearProgram`:
+
+* :meth:`LinearProgram.solve` — a cold :func:`scipy.optimize.linprog`
+  solve.  Deterministic in the program alone; every committed plan
+  comes from it.
+* :meth:`LinearProgram.live` — a :class:`LiveLP` handle: the program is
+  passed once to a HiGHS model kept alive, edited in place
+  (``changeRowBounds`` / ``changeCoeff``) and re-solved from the basis
+  HiGHS retained.  Stage 1 scores its outlet-temperature probes on one
+  such model per :func:`repro.core.stage1.solve_stage1` call and closes
+  it before returning: a call owns its basis history, so cold, warm and
+  ``--jobs`` runs stay deterministic, and no model outlives the call.
+
+A re-solve's ``x`` depends on the basis it started from.  When the LP
+has several optimal vertices it can differ from the cold solve's at the
+same objective — on the ``control_sweep`` golden, committing the live
+``x`` moved one point to another vertex that lost a task downstream.
+So the live model only *scores*; the winner is re-solved cold and that
+solution is committed (the cold-commit rule).
+
+The live model uses ``scipy.optimize._highspy._core._Highs``, a private
+binding scipy does not promise to keep.  If it cannot be imported, or a
+re-solve ends in a status other than optimal or infeasible, the solve
+runs on the :func:`scipy.optimize.linprog` path instead and counts in
+``lp.live_fallbacks.{name}``; results never depend on the binding.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,7 +52,17 @@ from scipy.optimize import linprog as _scipy_linprog
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
 
-__all__ = ["LinearProgram", "LPSolution", "LPWarmStart", "InfeasibleError"]
+try:  # private scipy API: see the module docstring
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:  # pragma: no cover - depends on the scipy build
+    _highs = None
+
+__all__ = ["LinearProgram", "LiveLP", "LPSolution", "InfeasibleError"]
+
+#: HiGHS options of a live model: silent serial dual simplex, as
+#: :func:`scipy.optimize.linprog` runs it.
+_LIVE_OPTIONS = {"output_flag": False, "log_to_console": False,
+                 "solver": "simplex", "simplex_strategy": 1}
 
 
 class InfeasibleError(RuntimeError):
@@ -52,30 +87,6 @@ class LPSolution:
     x: np.ndarray
     objective: float
     status: int
-
-
-@dataclass(frozen=True)
-class LPWarmStart:
-    """A previous solve's solution, tagged with the LP it came from.
-
-    HiGHS (as exposed through scipy) accepts no starting basis, so the
-    only exact warm-start mechanism available is *replay*: when the new
-    LP is byte-identical to the one that produced ``solution`` (the
-    fingerprints match), the stored solution IS the optimum and is
-    returned without invoking the solver at all.  A mismatched
-    fingerprint falls through to a normal cold solve, so correctness
-    never depends on the warm start.
-
-    ``fingerprint`` is an opaque caller-chosen key.  Callers that
-    already know what distinguishes their LPs (e.g. Stage 1 keys its
-    LPs by (structure digest, power cap, disabled set, temperature
-    vector)) should pass a cheap derived string; callers without such
-    knowledge can use :meth:`LinearProgram.fingerprint`, which hashes
-    the assembled program exactly but costs a pass over the triplets.
-    """
-
-    fingerprint: str
-    solution: LPSolution
 
 
 @dataclass
@@ -219,62 +230,33 @@ class LinearProgram:
         self._b_ub.extend(rhs.tolist())
 
     # ------------------------------------------------------------------
-    def fingerprint(self) -> str:
-        """Exact structural hash of the assembled program.
-
-        Two programs share a fingerprint iff they have identical
-        objective sense, bounds, objective coefficients and constraint
-        triplets — i.e. iff :meth:`solve` is guaranteed to return
-        bit-identical solutions for both.  Cost is linear in the number
-        of nonzeros; hot paths that can derive a cheaper equivalent key
-        should do so and pass it to :meth:`solve` directly.
-        """
-        h = hashlib.sha256()
-        h.update(b"max" if self.maximize else b"min")
-        for part in (self._obj, self._lb, self._ub, self._b_ub, self._b_eq,
-                     self._ub_vals, self._eq_vals):
-            h.update(np.asarray(part, dtype=float).tobytes())
-        for part in (self._ub_rows, self._ub_cols,
-                     self._eq_rows, self._eq_cols):
-            h.update(np.asarray(part, dtype=np.int64).tobytes())
-        h.update(self._num_vars.to_bytes(8, "little"))
-        return h.hexdigest()
-
-    def solve(self, *, require_feasible: bool = True,
-              warm_start: LPWarmStart | None = None,
-              fingerprint: str | None = None) -> LPSolution:
-        """Solve with HiGHS and return an :class:`LPSolution`.
-
-        When ``warm_start`` is given and its fingerprint equals
-        ``fingerprint`` (or, if ``fingerprint`` is None, this program's
-        :meth:`fingerprint`), the stored solution is replayed verbatim —
-        bit-identical to a cold solve of the same program — and the
-        solver is never invoked.  A fingerprint mismatch falls through
-        to a cold solve.
+    def solve(self) -> LPSolution:
+        """Solve with HiGHS (through :func:`scipy.optimize.linprog`).
 
         Raises
         ------
         InfeasibleError
-            If the LP is infeasible/unbounded and ``require_feasible``.
+            If the LP is infeasible/unbounded or the solver fails.
         """
         if self._num_vars == 0:
             raise ValueError(f"LP '{self.name}' has no variables")
-        if warm_start is not None:
-            key = fingerprint if fingerprint is not None \
-                else self.fingerprint()
-            if warm_start.fingerprint == key:
-                obs_metrics.counter(f"lp.warm_hits.{self.name}").inc()
-                return warm_start.solution
-            obs_metrics.counter(f"lp.warm_misses.{self.name}").inc()
         with obs_span("lp", lp=self.name, vars=self._num_vars,
                       constraints=self.num_constraints):
-            return self._solve(require_feasible)
+            _count_solve(self.name, self._num_vars, self.num_constraints)
+            return _solve_scipy(self.name, self.maximize, *self._arrays())
 
-    def _solve(self, require_feasible: bool) -> LPSolution:
-        obs_metrics.counter(f"lp.solves.{self.name}").inc()
-        obs_metrics.histogram(f"lp.vars.{self.name}").observe(self._num_vars)
-        obs_metrics.histogram(
-            f"lp.constraints.{self.name}").observe(self.num_constraints)
+    def live(self) -> "LiveLP":
+        """Pass the assembled program once to a live HiGHS model.
+
+        See :class:`LiveLP`; :meth:`LiveLP.close` the handle when the
+        re-solve sequence ends.
+        """
+        if self._num_vars == 0:
+            raise ValueError(f"LP '{self.name}' has no variables")
+        return LiveLP(self)
+
+    def _arrays(self) -> tuple:
+        """``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` in minimization form."""
         c = np.asarray(self._obj, dtype=float)
         if self.maximize:
             c = -c
@@ -291,17 +273,183 @@ class LinearProgram:
                 shape=(len(self._b_eq), n))
             b_eq = np.asarray(self._b_eq, dtype=float)
         bounds = np.column_stack([self._lb, self._ub])
-        res = _scipy_linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                             bounds=bounds, method="highs")
-        if not res.success:
+        return c, a_ub, b_ub, a_eq, b_eq, bounds
+
+
+def _count_solve(name: str, n_vars: int, n_constraints: int) -> None:
+    obs_metrics.counter(f"lp.solves.{name}").inc()
+    obs_metrics.histogram(f"lp.vars.{name}").observe(n_vars)
+    obs_metrics.histogram(f"lp.constraints.{name}").observe(n_constraints)
+
+
+def _solve_scipy(name: str, maximize: bool, c, a_ub, b_ub, a_eq, b_eq,
+                 bounds) -> LPSolution:
+    res = _scipy_linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                         bounds=bounds, method="highs")
+    if not res.success:
+        obs_metrics.counter(f"lp.infeasible.{name}").inc()
+        raise InfeasibleError(
+            f"LP '{name}' failed: {res.message} (status {res.status})")
+    obj = float(res.fun)
+    if maximize:
+        obj = -obj
+    return LPSolution(x=np.asarray(res.x, dtype=float), objective=obj,
+                      status=int(res.status))
+
+
+class LiveLP:
+    """One live HiGHS model re-solved under row-bound and row edits.
+
+    Made by :meth:`LinearProgram.live`.  :meth:`set_row_upper` and
+    :meth:`set_row_coeffs` edit ``<=`` rows (indexed in the order they
+    were added) in place; :meth:`solve` re-solves from the basis HiGHS
+    retained from the previous solve.  It records the same ``lp`` span
+    and ``lp.solves`` / ``lp.infeasible`` counters as
+    :meth:`LinearProgram.solve` and raises the same
+    :class:`InfeasibleError`.
+
+    A re-solve that ends in any other status (iteration limit, solver
+    error, ...) is re-run on the :func:`scipy.optimize.linprog` path
+    from the current program and counted in ``lp.live_fallbacks``; the
+    live basis is dropped so the next re-solve starts cold.  Without the
+    private binding every solve takes that path.
+
+    The solution of a re-solve depends on the basis it started from,
+    so when the LP has several optimal vertices, ``x`` may differ from a
+    cold solve's (the objective agrees to solver tolerance).  Callers
+    that commit ``x`` re-solve the winner with
+    :meth:`LinearProgram.solve`.
+    """
+
+    def __init__(self, lp: LinearProgram) -> None:
+        self.name = lp.name
+        self._maximize = lp.maximize
+        self._n_vars = lp.num_variables
+        self._n_constraints = lp.num_constraints
+        self._args = lp._arrays()
+        # dense copies of the rows set_row_coeffs has edited
+        self._edited: dict[int, np.ndarray] = {}
+        self._closed = False
+        self._highs = None if _highs is None else self._pass_model()
+
+    def _pass_model(self):
+        c, a_ub, b_ub, a_eq, b_eq, bounds = self._args
+        blocks = [a for a in (a_ub, a_eq) if a is not None]
+        a = sparse.vstack(blocks, format="csc") if blocks \
+            else sparse.csc_matrix((0, self._n_vars))
+        n_ub = 0 if b_ub is None else b_ub.size
+        upper = np.concatenate([b_ub if b_ub is not None else [],
+                                b_eq if b_eq is not None else []])
+        lower = upper.copy()
+        lower[:n_ub] = -np.inf
+        model = _highs.HighsLp()
+        model.num_col_ = self._n_vars
+        model.num_row_ = a.shape[0]
+        model.a_matrix_.num_col_ = self._n_vars
+        model.a_matrix_.num_row_ = a.shape[0]
+        model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        model.a_matrix_.start_ = a.indptr
+        model.a_matrix_.index_ = a.indices
+        model.a_matrix_.value_ = a.data
+        model.col_cost_ = c
+        model.col_lower_ = bounds[:, 0].copy()
+        model.col_upper_ = bounds[:, 1].copy()
+        model.row_lower_ = lower
+        model.row_upper_ = upper
+        highs = _highs._Highs()
+        for option, value in _LIVE_OPTIONS.items():
+            highs.setOptionValue(option, value)
+        if highs.passModel(model) == _highs.HighsStatus.kError:
+            return None
+        return highs
+
+    # ------------------------------------------------------------------
+    def _check_row(self, rows: np.ndarray) -> None:
+        n_ub = 0 if self._args[2] is None else self._args[2].size
+        if rows.size and (rows.min() < 0 or rows.max() >= n_ub):
+            raise IndexError(f"LP '{self.name}' has {n_ub} <= rows")
+
+    def set_row_upper(self, rows: Sequence[int] | np.ndarray,
+                      values: Sequence[float] | np.ndarray) -> None:
+        """Set the right-hand sides of ``<=`` rows ``rows`` to ``values``."""
+        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+        values = np.broadcast_to(np.asarray(values, dtype=float), rows.shape)
+        self._check_row(rows)
+        self._args[2][rows] = values
+        if self._highs is not None:
+            for r, v in zip(rows.tolist(), values.tolist()):
+                self._highs.changeRowBounds(r, -np.inf, v)
+
+    def set_row_coeffs(self, row: int, cols: Sequence[int] | np.ndarray,
+                       values: Sequence[float] | np.ndarray) -> None:
+        """Set ``A[row, cols] = values`` for one ``<=`` row.
+
+        Only the entries whose value changes are passed to HiGHS.
+        """
+        self._check_row(np.asarray([row]))
+        cols = np.atleast_1d(np.asarray(cols, dtype=np.int64))
+        values = np.broadcast_to(np.asarray(values, dtype=float), cols.shape)
+        dense = self._edited.get(row)
+        if dense is None:
+            dense = self._args[1].getrow(row).toarray().ravel()
+            self._edited[row] = dense
+        changed = np.flatnonzero(dense[cols] != values)
+        dense[cols[changed]] = values[changed]
+        if self._highs is not None:
+            for col, v in zip(cols[changed].tolist(),
+                              values[changed].tolist()):
+                self._highs.changeCoeff(row, col, v)
+
+    # ------------------------------------------------------------------
+    def solve(self) -> LPSolution:
+        """Re-solve from the retained basis.
+
+        Raises
+        ------
+        InfeasibleError
+            If the LP is infeasible (or the scipy fallback fails).
+        """
+        if self._closed:
+            raise ValueError(f"live LP '{self.name}' is closed")
+        with obs_span("lp", lp=self.name, vars=self._n_vars,
+                      constraints=self._n_constraints):
+            _count_solve(self.name, self._n_vars, self._n_constraints)
+            if self._highs is not None:
+                sol = self._solve_live()
+                if sol is not None:
+                    return sol
+            obs_metrics.counter(f"lp.live_fallbacks.{self.name}").inc()
+            return _solve_scipy(self.name, self._maximize,
+                                *self._current_args())
+
+    def _solve_live(self) -> LPSolution | None:
+        """The live re-solve; None when HiGHS ended in a failure status."""
+        highs = self._highs
+        highs.run()
+        status = highs.getModelStatus()
+        if status == _highs.HighsModelStatus.kOptimal:
+            obj = float(highs.getInfo().objective_function_value)
+            return LPSolution(
+                x=np.asarray(highs.getSolution().col_value, dtype=float),
+                objective=-obj if self._maximize else obj, status=0)
+        if status in (_highs.HighsModelStatus.kInfeasible,
+                      _highs.HighsModelStatus.kUnboundedOrInfeasible):
             obs_metrics.counter(f"lp.infeasible.{self.name}").inc()
-            if require_feasible:
-                raise InfeasibleError(
-                    f"LP '{self.name}' failed: {res.message} (status {res.status})")
-            return LPSolution(x=np.full(n, np.nan), objective=np.nan,
-                              status=int(res.status))
-        obj = float(res.fun)
-        if self.maximize:
-            obj = -obj
-        return LPSolution(x=np.asarray(res.x, dtype=float), objective=obj,
-                          status=int(res.status))
+            raise InfeasibleError(f"LP '{self.name}' failed: "
+                                  f"{highs.modelStatusToString(status)}")
+        highs.clearSolver()
+        return None
+
+    def _current_args(self) -> tuple:
+        c, a_ub, b_ub, a_eq, b_eq, bounds = self._args
+        if self._edited:
+            a_ub = a_ub.tolil()
+            for row, dense in self._edited.items():
+                a_ub[row, :] = dense
+            a_ub = a_ub.tocsr()
+        return c, a_ub, b_ub, a_eq, b_eq, bounds
+
+    def close(self) -> None:
+        """Free the HiGHS model; the handle cannot solve afterwards."""
+        self._highs = None
+        self._closed = True

@@ -97,14 +97,6 @@ class TestSolve:
         with pytest.raises(InfeasibleError, match="broken"):
             lp.solve()
 
-    def test_infeasible_soft(self):
-        lp = LinearProgram()
-        x = lp.add_variables(1, lb=0.0, ub=1.0)
-        lp.add_ge_constraint({x[0]: 1.0}, 5.0)
-        sol = lp.solve(require_feasible=False)
-        assert np.isnan(sol.objective)
-        assert sol.status != 0
-
     def test_no_variables_rejected(self):
         with pytest.raises(ValueError, match="no variables"):
             LinearProgram().solve()
@@ -126,61 +118,131 @@ class TestSolve:
         assert lp.solve().objective == pytest.approx(10.0)
 
 
-class TestWarmStart:
-    def _lp(self, ub=2.0):
-        from repro.optimize.linprog import LinearProgram
+class _Proxy:
+    """Stands in for a live HiGHS model, recording the edits it forwards."""
 
-        lp = LinearProgram(maximize=True, name="warmtest")
-        lp.add_variables(2, lb=0.0, ub=ub, objective=1.0)
-        lp.add_le_constraint({0: 1.0, 1: 1.0}, 3.0)
+    def __init__(self, highs, status=None):
+        self._highs, self._status, self.coeff_calls = highs, status, []
+
+    def changeCoeff(self, row, col, value):
+        self.coeff_calls.append((row, col, value))
+        return self._highs.changeCoeff(row, col, value)
+
+    def getModelStatus(self):
+        return self._status or self._highs.getModelStatus()
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+
+def _metrics(fn):
+    from repro import obs
+
+    obs.reset()
+    obs.enable()
+    try:
+        fn()
+        return obs.current_registry().snapshot()
+    finally:
+        obs.disable()
+        obs.reset()
+
+
+class TestLive:
+    def _lp(self, rhs=3.0):
+        lp = LinearProgram(maximize=True, name="livetest")
+        lp.add_variables(2, lb=0.0, ub=2.0, objective=[1.0, 2.0])
+        lp.add_le_constraint({0: 1.0, 1: 1.0}, rhs)
+        lp.add_le_constraint({0: 1.0, 1: 3.0}, 10.0)
         return lp
 
-    def test_fingerprint_stable_and_sensitive(self):
-        assert self._lp().fingerprint() == self._lp().fingerprint()
-        assert self._lp().fingerprint() != self._lp(ub=5.0).fingerprint()
+    def test_first_solve_matches_cold(self):
+        live = self._lp().live()
+        sol = live.solve()
+        cold = self._lp().solve()
+        np.testing.assert_allclose(sol.x, cold.x)
+        assert sol.objective == pytest.approx(cold.objective)
 
-    def test_replay_returns_stored_solution(self):
-        from repro.optimize.linprog import LPWarmStart
+    def test_row_upper_edits_match_rebuilt_program(self):
+        live = self._lp().live()
+        live.solve()
+        for rhs in (1.0, 2.5, 4.0):
+            live.set_row_upper([0], [rhs])
+            assert live.solve().objective == pytest.approx(
+                self._lp(rhs=rhs).solve().objective)
 
-        first = self._lp().solve()
-        warm = LPWarmStart(fingerprint=self._lp().fingerprint(),
-                           solution=first)
-        again = self._lp().solve(warm_start=warm)
-        assert again is first
+    def test_coeff_edits_pass_only_changed_entries(self):
+        live = self._lp().live()
+        live.solve()
+        proxy = live._highs = _Proxy(live._highs)
+        live.set_row_coeffs(1, [0, 1], [1.0, 4.0])
+        assert proxy.coeff_calls == [(1, 1, 4.0)]
+        live.set_row_coeffs(1, [0, 1], [1.0, 4.0])
+        assert len(proxy.coeff_calls) == 1
+        sol = live.solve()
+        lp = LinearProgram(maximize=True)
+        lp.add_variables(2, lb=0.0, ub=2.0, objective=[1.0, 2.0])
+        lp.add_le_constraint({0: 1.0, 1: 1.0}, 3.0)
+        lp.add_le_constraint({0: 1.0, 1: 4.0}, 10.0)
+        assert sol.objective == pytest.approx(lp.solve().objective)
 
-    def test_mismatched_fingerprint_solves_cold(self):
-        from repro.optimize.linprog import LPWarmStart
+    def test_infeasible_raises_and_counts(self):
+        def run():
+            live = self._lp().live()
+            live.set_row_upper([0], [-1.0])
+            with pytest.raises(InfeasibleError, match="livetest"):
+                live.solve()
+        snap = _metrics(run)
+        assert snap["lp.infeasible.livetest"]["value"] == 1
+        assert snap["lp.solves.livetest"]["value"] == 1
+        assert "lp.live_fallbacks.livetest" not in snap
 
-        first = self._lp().solve()
-        warm = LPWarmStart(fingerprint="not-this-lp", solution=first)
-        again = self._lp(ub=5.0).solve(warm_start=warm)
-        assert again is not first
-        assert again.objective == pytest.approx(3.0)
+    def test_failure_status_reruns_on_scipy(self):
+        from scipy.optimize._highspy import _core
 
-    def test_caller_fingerprint_short_circuits_hashing(self):
-        from repro.optimize.linprog import LPWarmStart
+        def run():
+            live = self._lp().live()
+            live._highs = _Proxy(
+                live._highs, _core.HighsModelStatus.kIterationLimit)
+            live.set_row_upper([0], [2.5])
+            live.set_row_coeffs(1, [1], [4.0])
+            sol = live.solve()
+            assert sol.objective == pytest.approx(4.5)
+        snap = _metrics(run)
+        assert snap["lp.live_fallbacks.livetest"]["value"] == 1
+        assert snap["lp.solves.livetest"]["value"] == 1
 
-        first = self._lp().solve()
-        warm = LPWarmStart(fingerprint="cheap-key", solution=first)
-        again = self._lp().solve(warm_start=warm, fingerprint="cheap-key")
-        assert again is first
+    def test_missing_binding_takes_scipy_path(self, monkeypatch):
+        import repro.optimize.linprog as linprog_mod
 
-    def test_replay_counts_hit_metric(self):
-        from repro import obs
-        from repro.optimize.linprog import LPWarmStart
+        monkeypatch.setattr(linprog_mod, "_highs", None)
 
-        first = self._lp().solve()
-        warm = LPWarmStart(fingerprint="k", solution=first)
-        obs.reset()
-        obs.enable()
-        try:
-            self._lp().solve(warm_start=warm, fingerprint="k")
-            self._lp().solve(warm_start=warm, fingerprint="other")
-            snap = obs.current_registry().snapshot()
-        finally:
-            obs.disable()
-            obs.reset()
-        assert snap["lp.warm_hits.warmtest"]["value"] == 1
-        assert snap["lp.warm_misses.warmtest"]["value"] == 1
-        # a replay never counts as a solve
-        assert snap.get("lp.solves.warmtest", {"value": 1})["value"] == 1
+        def run():
+            live = self._lp().live()
+            assert live.solve().objective == pytest.approx(
+                self._lp().solve().objective)
+            live.set_row_upper([0], [-1.0])
+            with pytest.raises(InfeasibleError):
+                live.solve()
+        snap = _metrics(run)
+        assert snap["lp.live_fallbacks.livetest"]["value"] == 2
+
+    def test_only_le_rows_are_editable(self):
+        lp = self._lp()
+        lp.add_eq_constraint({0: 1.0}, 1.0)
+        live = lp.live()
+        with pytest.raises(IndexError):
+            live.set_row_upper([2], [1.0])
+        with pytest.raises(IndexError):
+            live.set_row_coeffs(-1, [0], [1.0])
+        assert live.solve().x[0] == pytest.approx(1.0)
+
+    def test_closed_handle_cannot_solve(self):
+        live = self._lp().live()
+        live.close()
+        with pytest.raises(ValueError, match="closed"):
+            live.solve()
+
+    def test_empty_program_rejected(self):
+        with pytest.raises(ValueError, match="no variables"):
+            LinearProgram().live()
