@@ -281,7 +281,8 @@ def solve_stage1_zonal(datacenter: DataCenter, workload: Workload, *,
         struct_key = _struct_key(datacenter, workload, psi)
         fresh_struct = True
     solve_key = hashlib.sha256(
-        (struct_key + repr(float(p_const))).encode()
+        (struct_key + repr((float(p_const), int(max_sweeps),
+                            float(tol_kw)))).encode()
         + t.tobytes()).hexdigest()
     if (warm is not None and not fresh_struct
             and warm.solve_key == solve_key and warm.result is not None):
@@ -354,11 +355,25 @@ def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
     active_gain = np.empty((0, n_nodes))
     active_const = np.empty(0)
 
+    # Per-zone LP pieces that do not move between sweeps at fixed
+    # outlets: the node and CRAC redline rows, the CRACs a zone can
+    # heat at all, and the nodes' power weights.
+    zone_rows = []
+    for blk in blocks:
+        nodes = blk.zone.nodes
+        live = np.abs(crac_gain[:, nodes]).max(axis=1) > 1e-15
+        weight_z = 1.0 + crac_coeff[nodes]
+        zone_rows.append((
+            np.vstack([blk.g_loc[:, blk.var_loc],
+                       crac_gain[live][:, nodes[blk.var_loc]]]),
+            live, weight_z, weight_z[blk.var_loc]))
+
     sweeps = 0
     max_delta = float("inf")
     for sweep in range(max_sweeps):
         max_delta = 0.0
-        for blk in blocks:
+        for blk, (rows_nc, live, weight_z, power_row) in zip(blocks,
+                                                             zone_rows):
             nodes = blk.zone.nodes
             # Frozen boundary coupling: everything the zone's nodes
             # inhale from outside the zone at the current iterate.
@@ -366,17 +381,13 @@ def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
             const_z = blk.w_z @ (blk.a_mc_z @ t + r_z
                                  + blk.a_zz @ (coeff[nodes] * base[nodes]))
             # Node redlines: const_z + g_loc @ C_z <= redline (in-zone).
-            rows_n = blk.g_loc[:, blk.var_loc]
             rhs_n = redline[nc + nodes] - const_z
             # CRAC redlines: exact monolithic gain, others frozen.
             frozen_c = const_c + crac_gain @ (base + core) \
                 - crac_gain[:, nodes] @ core[nodes]
-            rows_c_full = crac_gain[:, nodes]
-            live = np.abs(rows_c_full).max(axis=1) > 1e-15
-            rows_c = rows_c_full[live][:, blk.var_loc]
             rhs_c = redline[:nc][live] - frozen_c[live]
             # Power cap: what the frozen other zones leave over.
-            in_zone_use = float((1.0 + crac_coeff[nodes]) @ core[nodes])
+            in_zone_use = float(weight_z @ core[nodes])
             budget = p_const - base_total - (weighted_core - in_zone_use)
             if sweep == 0 and not core.any() and (
                     np.any(rhs_n < -1e-9) or np.any(rhs_c < -1e-9)):
@@ -410,9 +421,8 @@ def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
             lp.add_variables(blk.var_idx.size, lb=0.0,
                              ub=caps[blk.var_idx],
                              objective=slopes[blk.var_idx])
-            lp.add_dense_le_rows(np.vstack([rows_n, rows_c, rows_a]),
-                                 np.concatenate([rhs_n, rhs_c, rhs_a]))
-            power_row = (1.0 + crac_coeff[nodes])[blk.var_loc]
+            lp.add_dense_le_rows(rows_nc, np.concatenate([rhs_n, rhs_c]))
+            lp.add_dense_le_rows(rows_a, rhs_a)
             lp.add_dense_le_rows(power_row[None, :],
                                  np.asarray([max(budget, 0.0)]))
             sol = lp.solve()
@@ -429,7 +439,7 @@ def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
             max_delta = max(max_delta,
                             float(np.abs(new_core - core[nodes]).max()))
             core[nodes] = new_core
-            weighted_core += float((1.0 + crac_coeff[nodes]) @ new_core) \
+            weighted_core += float(weight_z @ new_core) \
                 - in_zone_use
             # Gauss-Seidel: the next zone sees this zone's new outlets.
             x[nodes] = const_z + blk.g_loc @ new_core

@@ -1,4 +1,4 @@
-"""Thin wrapper around HiGHS: :func:`scipy.optimize.linprog` plus live models.
+"""Thin wrapper around HiGHS: cold solves and live models.
 
 All linear programs in the library are built as sparse inequality /
 equality systems and solved with the HiGHS dual simplex, which is exact
@@ -10,14 +10,21 @@ The wrapper exists so that
 * every LP in the code base states its intent (maximize vs minimize)
   explicitly,
 * infeasibility is reported with the model name attached, and
-* constraint matrices can be assembled incrementally row-by-row without
-  each call site repeating the scipy boilerplate.
+* constraint matrices can be assembled incrementally — each ``add_*``
+  call stores one numpy chunk of row, column and value arrays —
+  without each call site repeating the solver boilerplate.
 
 Two ways to solve an assembled :class:`LinearProgram`:
 
-* :meth:`LinearProgram.solve` — a cold :func:`scipy.optimize.linprog`
-  solve.  Deterministic in the program alone; every committed plan
-  comes from it.
+* :meth:`LinearProgram.solve` — a cold solve: a fresh HiGHS model fed
+  exactly what :func:`scipy.optimize.linprog` (``method="highs"``) feeds
+  it — the same options, the same ``vstack(A_ub, A_eq)`` CSC matrix —
+  followed by ``linprog``'s own feasibility post-check.  It bypasses
+  ``linprog``'s input cleaning and result wrapping and stays
+  bit-identical to it: the same ``x``, objective and infeasibility
+  verdicts (verified on scipy 1.17.1 by
+  ``tests/optimize/test_linprog_identity.py``).  Deterministic in the
+  program alone; every committed plan comes from it.
 * :meth:`LinearProgram.live` — a :class:`LiveLP` handle: the program is
   passed once to a HiGHS model kept alive, edited in place
   (``changeRowBounds`` / ``changeCoeff``) and re-solved from the basis
@@ -33,11 +40,12 @@ same objective — on the ``control_sweep`` golden, committing the live
 So the live model only *scores*; the winner is re-solved cold and that
 solution is committed (the cold-commit rule).
 
-The live model uses ``scipy.optimize._highspy._core._Highs``, a private
-binding scipy does not promise to keep.  If it cannot be imported, or a
-re-solve ends in a status other than optimal or infeasible, the solve
-runs on the :func:`scipy.optimize.linprog` path instead and counts in
-``lp.live_fallbacks.{name}``; results never depend on the binding.
+Both paths use ``scipy.optimize._highspy._core._Highs``, a private
+binding scipy does not promise to keep; :func:`scipy.optimize.linprog`
+remains the fallback and the test oracle.  If the binding cannot be
+imported, or a solve ends in a status other than optimal, infeasible or
+unbounded, the solve runs on ``linprog`` instead and counts in
+``lp.fallbacks.{name}``; results never depend on the binding.
 """
 
 from __future__ import annotations
@@ -59,10 +67,19 @@ except ImportError:  # pragma: no cover - depends on the scipy build
 
 __all__ = ["LinearProgram", "LiveLP", "LPSolution", "InfeasibleError"]
 
-#: HiGHS options of a live model: silent serial dual simplex, as
-#: :func:`scipy.optimize.linprog` runs it.
+#: HiGHS options of a cold solve: the ones :func:`scipy.optimize.linprog`
+#: sets for ``method="highs"`` (presolve on, dual simplex, silent).
+_COLD_OPTIONS = {"presolve": "on", "highs_debug_level": 0,
+                 "log_to_console": False, "output_flag": False,
+                 "simplex_strategy": 1}
+
+#: HiGHS options of a live model: silent serial dual simplex.
 _LIVE_OPTIONS = {"output_flag": False, "log_to_console": False,
                  "solver": "simplex", "simplex_strategy": 1}
+
+#: Tolerance of ``linprog``'s post-check: ``sqrt(tol) * 10`` at its
+#: default ``tol=1e-9``.
+_CHECK_TOL = np.sqrt(1e-9) * 10
 
 
 class InfeasibleError(RuntimeError):
@@ -89,6 +106,38 @@ class LPSolution:
     status: int
 
 
+class _Rows:
+    """One block of constraint rows as numpy chunks.
+
+    Each :meth:`add` stores one ``(rows, cols, vals, rhs)`` chunk;
+    :meth:`arrays` concatenates them once and keeps the result as the
+    only chunk, so a program re-solved after more rows were added
+    concatenates only the new ones.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self._chunks: list[tuple[np.ndarray, ...]] = []
+
+    def add(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+            rhs: np.ndarray) -> None:
+        """Add ``rhs.size`` rows; ``rows`` index them from 0, zeros dropped."""
+        keep = vals != 0.0
+        self._chunks.append((rows[keep] + self.count, cols[keep],
+                             vals[keep], rhs))
+        self.count += rhs.size
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """``(rows, cols, vals, rhs)`` of every row added so far."""
+        if not self._chunks:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0), np.empty(0)
+        if len(self._chunks) > 1:
+            self._chunks = [tuple(np.concatenate(part)
+                                  for part in zip(*self._chunks))]
+        return self._chunks[0]
+
+
 @dataclass
 class LinearProgram:
     """Incrementally assembled linear program.
@@ -109,18 +158,10 @@ class LinearProgram:
     name: str = "lp"
     maximize: bool = False
     _num_vars: int = field(default=0, init=False)
-    _obj: list[float] = field(default_factory=list, init=False)
-    _lb: list[float] = field(default_factory=list, init=False)
-    _ub: list[float] = field(default_factory=list, init=False)
-    # COO triplets for A_ub / A_eq
-    _ub_rows: list[int] = field(default_factory=list, init=False)
-    _ub_cols: list[int] = field(default_factory=list, init=False)
-    _ub_vals: list[float] = field(default_factory=list, init=False)
-    _b_ub: list[float] = field(default_factory=list, init=False)
-    _eq_rows: list[int] = field(default_factory=list, init=False)
-    _eq_cols: list[int] = field(default_factory=list, init=False)
-    _eq_vals: list[float] = field(default_factory=list, init=False)
-    _b_eq: list[float] = field(default_factory=list, init=False)
+    # (3, n) chunks of lower bound, upper bound and objective
+    _col_chunks: list[np.ndarray] = field(default_factory=list, init=False)
+    _ub: _Rows = field(default_factory=_Rows, init=False)
+    _eq: _Rows = field(default_factory=_Rows, init=False)
 
     # ------------------------------------------------------------------
     @property
@@ -129,7 +170,7 @@ class LinearProgram:
 
     @property
     def num_constraints(self) -> int:
-        return len(self._b_ub) + len(self._b_eq)
+        return self._ub.count + self._eq.count
 
     def add_variables(self, n: int, lb: float | Sequence[float] = 0.0,
                       ub: float | Sequence[float] = np.inf,
@@ -137,17 +178,20 @@ class LinearProgram:
         """Allocate ``n`` new variables, returning their index range."""
         if n <= 0:
             raise ValueError(f"variable count must be positive, got {n}")
-        lb_arr = np.broadcast_to(np.asarray(lb, dtype=float), (n,))
-        ub_arr = np.broadcast_to(np.asarray(ub, dtype=float), (n,))
-        obj_arr = np.broadcast_to(np.asarray(objective, dtype=float), (n,))
-        if np.any(lb_arr > ub_arr):
+        cols = np.array([np.broadcast_to(np.asarray(v, dtype=float), (n,))
+                         for v in (lb, ub, objective)])
+        if np.any(cols[0] > cols[1]):
             raise ValueError("lower bound exceeds upper bound")
         start = self._num_vars
         self._num_vars += n
-        self._lb.extend(lb_arr.tolist())
-        self._ub.extend(ub_arr.tolist())
-        self._obj.extend(obj_arr.tolist())
+        self._col_chunks.append(cols)
         return range(start, start + n)
+
+    def _columns(self) -> np.ndarray:
+        """``(3, n)`` lower bounds, upper bounds and objective, one chunk."""
+        if len(self._col_chunks) > 1:
+            self._col_chunks = [np.concatenate(self._col_chunks, axis=1)]
+        return self._col_chunks[0]
 
     def set_bounds(self, index: int, lb: float, ub: float) -> None:
         """Tighten the bounds of an existing variable."""
@@ -155,25 +199,24 @@ class LinearProgram:
             raise IndexError(f"variable index {index} out of range")
         if lb > ub:
             raise ValueError(f"lower bound {lb} exceeds upper bound {ub}")
-        self._lb[index] = float(lb)
-        self._ub[index] = float(ub)
+        cols = self._columns()
+        cols[0, index] = lb
+        cols[1, index] = ub
 
-    def _check_coeffs(self, coeffs: dict[int, float]) -> None:
-        for idx in coeffs:
-            if not 0 <= idx < self._num_vars:
-                raise IndexError(f"variable index {idx} out of range "
-                                 f"(have {self._num_vars} variables)")
+    def _add_row(self, block: _Rows, coeffs: dict[int, float],
+                 rhs: float) -> None:
+        cols = np.fromiter(coeffs.keys(), dtype=np.int64, count=len(coeffs))
+        bad = (cols < 0) | (cols >= self._num_vars)
+        if bad.any():
+            raise IndexError(f"variable index {cols[bad][0]} out of range "
+                             f"(have {self._num_vars} variables)")
+        vals = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
+        block.add(np.zeros(cols.size, dtype=np.int64), cols, vals,
+                  np.array([rhs], dtype=float))
 
     def add_le_constraint(self, coeffs: dict[int, float], rhs: float) -> None:
         """Add ``sum coeffs[i] * x_i <= rhs``."""
-        self._check_coeffs(coeffs)
-        row = len(self._b_ub)
-        for idx, val in coeffs.items():
-            if val != 0.0:
-                self._ub_rows.append(row)
-                self._ub_cols.append(idx)
-                self._ub_vals.append(float(val))
-        self._b_ub.append(float(rhs))
+        self._add_row(self._ub, coeffs, rhs)
 
     def add_ge_constraint(self, coeffs: dict[int, float], rhs: float) -> None:
         """Add ``sum coeffs[i] * x_i >= rhs`` (stored negated)."""
@@ -181,30 +224,22 @@ class LinearProgram:
 
     def add_eq_constraint(self, coeffs: dict[int, float], rhs: float) -> None:
         """Add ``sum coeffs[i] * x_i == rhs``."""
-        self._check_coeffs(coeffs)
-        row = len(self._b_eq)
-        for idx, val in coeffs.items():
-            if val != 0.0:
-                self._eq_rows.append(row)
-                self._eq_cols.append(idx)
-                self._eq_vals.append(float(val))
-        self._b_eq.append(float(rhs))
+        self._add_row(self._eq, coeffs, rhs)
+
+    def _check_rows(self, shape: tuple[int, int], rhs: np.ndarray) -> None:
+        if shape[0] != rhs.shape[0]:
+            raise ValueError("row/rhs count mismatch")
+        if shape[1] != self._num_vars:
+            raise ValueError(
+                f"row width {shape[1]} != variable count {self._num_vars}")
 
     def add_dense_le_rows(self, rows: np.ndarray, rhs: np.ndarray) -> None:
         """Add many dense ``<=`` rows at once (shape checks included)."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        if rows.shape[0] != rhs.shape[0]:
-            raise ValueError("row/rhs count mismatch")
-        if rows.shape[1] != self._num_vars:
-            raise ValueError(
-                f"row width {rows.shape[1]} != variable count {self._num_vars}")
-        base = len(self._b_ub)
+        self._check_rows(rows.shape, rhs)
         r_idx, c_idx = np.nonzero(rows)
-        self._ub_rows.extend((r_idx + base).tolist())
-        self._ub_cols.extend(c_idx.tolist())
-        self._ub_vals.extend(rows[r_idx, c_idx].tolist())
-        self._b_ub.extend(rhs.tolist())
+        self._ub.add(r_idx, c_idx, rows[r_idx, c_idx], rhs.copy())
 
     def add_sparse_le_rows(self, rows: "sparse.spmatrix",
                            rhs: np.ndarray) -> None:
@@ -217,21 +252,13 @@ class LinearProgram:
         """
         coo = sparse.coo_matrix(rows)
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        if coo.shape[0] != rhs.shape[0]:
-            raise ValueError("row/rhs count mismatch")
-        if coo.shape[1] != self._num_vars:
-            raise ValueError(
-                f"row width {coo.shape[1]} != variable count {self._num_vars}")
-        base = len(self._b_ub)
-        keep = coo.data != 0.0
-        self._ub_rows.extend((coo.row[keep] + base).tolist())
-        self._ub_cols.extend(coo.col[keep].tolist())
-        self._ub_vals.extend(coo.data[keep].tolist())
-        self._b_ub.extend(rhs.tolist())
+        self._check_rows(coo.shape, rhs)
+        self._ub.add(coo.row.astype(np.int64), coo.col.astype(np.int64),
+                     coo.data.astype(float), rhs.copy())
 
     # ------------------------------------------------------------------
     def solve(self) -> LPSolution:
-        """Solve with HiGHS (through :func:`scipy.optimize.linprog`).
+        """Cold solve on a fresh HiGHS model (see the module docstring).
 
         Raises
         ------
@@ -243,7 +270,27 @@ class LinearProgram:
         with obs_span("lp", lp=self.name, vars=self._num_vars,
                       constraints=self.num_constraints):
             _count_solve(self.name, self._num_vars, self.num_constraints)
+            if _highs is not None:
+                sol = self._solve_cold()
+                if sol is not None:
+                    return sol
+            obs_metrics.counter(f"lp.fallbacks.{self.name}").inc()
             return _solve_scipy(self.name, self.maximize, *self._arrays())
+
+    def _solve_cold(self) -> LPSolution | None:
+        """The direct HiGHS solve; None when ``linprog`` must run instead."""
+        program = self._highs_arrays()
+        c, a, lower, upper, col_lower, col_upper = program
+        if not (np.isfinite(c).all() and np.isfinite(a.data).all()
+                and np.isfinite(upper).all()
+                and not np.isnan(col_lower).any()
+                and not np.isnan(col_upper).any()):
+            return None     # linprog rejects or reinterprets these inputs
+        highs = _pass_model(program, _COLD_OPTIONS)
+        if highs is None:
+            return None
+        return _run(highs, self.name, self.maximize, program,
+                    self._ub.count)
 
     def live(self) -> "LiveLP":
         """Pass the assembled program once to a live HiGHS model.
@@ -255,25 +302,39 @@ class LinearProgram:
             raise ValueError(f"LP '{self.name}' has no variables")
         return LiveLP(self)
 
+    def _highs_arrays(self) -> tuple:
+        """``(c, A, row_lower, row_upper, col_lower, col_upper)`` for HiGHS.
+
+        ``A`` is the CSC matrix of the ``<=`` rows stacked over the
+        ``=`` rows; ``<=`` rows have lower bound ``-inf``.
+        """
+        lb, ub, obj = self._columns()
+        ub_rows, ub_cols, ub_vals, b_ub = self._ub.arrays()
+        eq_rows, eq_cols, eq_vals, b_eq = self._eq.arrays()
+        a = sparse.csc_matrix(
+            (np.concatenate([ub_vals, eq_vals]),
+             (np.concatenate([ub_rows, eq_rows + b_ub.size]),
+              np.concatenate([ub_cols, eq_cols]))),
+            shape=(self.num_constraints, self._num_vars))
+        upper = np.concatenate([b_ub, b_eq])
+        lower = upper.copy()
+        lower[:b_ub.size] = -np.inf
+        return -obj if self.maximize else obj, a, lower, upper, lb, ub
+
     def _arrays(self) -> tuple:
-        """``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` in minimization form."""
-        c = np.asarray(self._obj, dtype=float)
-        if self.maximize:
-            c = -c
+        """``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` as ``linprog`` takes them."""
+        lb, ub, obj = self._columns()
         n = self._num_vars
-        a_ub = b_ub = a_eq = b_eq = None
-        if self._b_ub:
-            a_ub = sparse.csr_matrix(
-                (self._ub_vals, (self._ub_rows, self._ub_cols)),
-                shape=(len(self._b_ub), n))
-            b_ub = np.asarray(self._b_ub, dtype=float)
-        if self._b_eq:
-            a_eq = sparse.csr_matrix(
-                (self._eq_vals, (self._eq_rows, self._eq_cols)),
-                shape=(len(self._b_eq), n))
-            b_eq = np.asarray(self._b_eq, dtype=float)
-        bounds = np.column_stack([self._lb, self._ub])
-        return c, a_ub, b_ub, a_eq, b_eq, bounds
+        blocks = []
+        for rows in (self._ub, self._eq):
+            if not rows.count:
+                blocks += [None, None]
+                continue
+            r, col, val, rhs = rows.arrays()
+            blocks += [sparse.csr_matrix((val, (r, col)),
+                                         shape=(rows.count, n)), rhs.copy()]
+        return (-obj if self.maximize else obj, *blocks,
+                np.column_stack([lb, ub]))
 
 
 def _count_solve(name: str, n_vars: int, n_constraints: int) -> None:
@@ -297,6 +358,85 @@ def _solve_scipy(name: str, maximize: bool, c, a_ub, b_ub, a_eq, b_eq,
                       status=int(res.status))
 
 
+def _pass_model(program: tuple, options: dict):
+    """A fresh HiGHS model holding ``program``; None if HiGHS rejects it.
+
+    ``program`` is :meth:`LinearProgram._highs_arrays`'s tuple.  The
+    model is filled as ``linprog`` fills it, so both cold paths hand
+    HiGHS the same problem.  Vectors go in as memoryviews: the binding
+    copies them element by element, several times faster than from a
+    numpy array and without the transient Python list ``tolist`` makes.
+    """
+    c, a, lower, upper, col_lower, col_upper = program
+    model = _highs.HighsLp()
+    model.num_col_ = a.shape[1]
+    model.num_row_ = a.shape[0]
+    model.a_matrix_.num_col_ = a.shape[1]
+    model.a_matrix_.num_row_ = a.shape[0]
+    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    model.col_cost_ = memoryview(c)
+    model.col_lower_ = memoryview(col_lower)
+    model.col_upper_ = memoryview(col_upper)
+    model.row_lower_ = memoryview(lower)
+    model.row_upper_ = memoryview(upper)
+    model.a_matrix_.start_ = memoryview(a.indptr)
+    model.a_matrix_.index_ = memoryview(a.indices)
+    model.a_matrix_.value_ = memoryview(a.data)
+    highs = _highs._Highs()
+    for option, value in options.items():
+        highs.setOptionValue(option, value)
+    if highs.passModel(model) == _highs.HighsStatus.kError:
+        return None
+    return highs
+
+
+def _run(highs, name: str, maximize: bool, program: tuple | None = None,
+         n_ub: int = 0) -> LPSolution | None:
+    """Run ``highs`` and read its verdict.
+
+    Returns the solution, raises :class:`InfeasibleError` on an
+    infeasible or unbounded verdict, and returns None on any other
+    status (iteration limit, solver error, ...).  With ``program``
+    (:meth:`LinearProgram._highs_arrays`, first ``n_ub`` rows ``<=``),
+    an optimal solution must also pass ``linprog``'s post-check —
+    bounds, ``<=`` slack and equality residual within
+    :data:`_CHECK_TOL`, no NaN — or the solve counts as infeasible.
+    """
+    highs.run()
+    status = highs.getModelStatus()
+    if status == _highs.HighsModelStatus.kOptimal:
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        obj = highs.getInfo().objective_function_value
+        if program is None or _post_check(x, obj, solution, program, n_ub):
+            return LPSolution(x=x, objective=-obj if maximize else obj,
+                              status=0)
+        reason = ("the solution does not satisfy the constraints within "
+                  f"{_CHECK_TOL:.2E}")
+    elif status in (_highs.HighsModelStatus.kInfeasible,
+                    _highs.HighsModelStatus.kUnbounded,
+                    _highs.HighsModelStatus.kUnboundedOrInfeasible):
+        reason = highs.modelStatusToString(status)
+    else:
+        highs.clearSolver()
+        return None
+    obs_metrics.counter(f"lp.infeasible.{name}").inc()
+    raise InfeasibleError(f"LP '{name}' failed: {reason}")
+
+
+def _post_check(x: np.ndarray, obj: float, solution, program: tuple,
+                n_ub: int) -> bool:
+    """``linprog``'s ``_check_result`` feasibility test of a solution."""
+    _, _, _, upper, col_lower, col_upper = program
+    residual = upper - np.array(solution.row_value)
+    if np.isnan(x).any() or np.isnan(obj) or np.isnan(residual).any():
+        return False
+    tol = _CHECK_TOL
+    return bool(np.all((x >= col_lower - tol) & (x <= col_upper + tol))
+                and not (residual[:n_ub] < -tol).any()
+                and not (np.abs(residual[n_ub:]) > tol).any())
+
+
 class LiveLP:
     """One live HiGHS model re-solved under row-bound and row edits.
 
@@ -310,7 +450,7 @@ class LiveLP:
 
     A re-solve that ends in any other status (iteration limit, solver
     error, ...) is re-run on the :func:`scipy.optimize.linprog` path
-    from the current program and counted in ``lp.live_fallbacks``; the
+    from the current program and counted in ``lp.fallbacks``; the
     live basis is dropped so the next re-solve starts cold.  Without the
     private binding every solve takes that path.
 
@@ -330,38 +470,8 @@ class LiveLP:
         # dense copies of the rows set_row_coeffs has edited
         self._edited: dict[int, np.ndarray] = {}
         self._closed = False
-        self._highs = None if _highs is None else self._pass_model()
-
-    def _pass_model(self):
-        c, a_ub, b_ub, a_eq, b_eq, bounds = self._args
-        blocks = [a for a in (a_ub, a_eq) if a is not None]
-        a = sparse.vstack(blocks, format="csc") if blocks \
-            else sparse.csc_matrix((0, self._n_vars))
-        n_ub = 0 if b_ub is None else b_ub.size
-        upper = np.concatenate([b_ub if b_ub is not None else [],
-                                b_eq if b_eq is not None else []])
-        lower = upper.copy()
-        lower[:n_ub] = -np.inf
-        model = _highs.HighsLp()
-        model.num_col_ = self._n_vars
-        model.num_row_ = a.shape[0]
-        model.a_matrix_.num_col_ = self._n_vars
-        model.a_matrix_.num_row_ = a.shape[0]
-        model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        model.a_matrix_.start_ = a.indptr
-        model.a_matrix_.index_ = a.indices
-        model.a_matrix_.value_ = a.data
-        model.col_cost_ = c
-        model.col_lower_ = bounds[:, 0].copy()
-        model.col_upper_ = bounds[:, 1].copy()
-        model.row_lower_ = lower
-        model.row_upper_ = upper
-        highs = _highs._Highs()
-        for option, value in _LIVE_OPTIONS.items():
-            highs.setOptionValue(option, value)
-        if highs.passModel(model) == _highs.HighsStatus.kError:
-            return None
-        return highs
+        self._highs = None if _highs is None \
+            else _pass_model(lp._highs_arrays(), _LIVE_OPTIONS)
 
     # ------------------------------------------------------------------
     def _check_row(self, rows: np.ndarray) -> None:
@@ -415,30 +525,12 @@ class LiveLP:
                       constraints=self._n_constraints):
             _count_solve(self.name, self._n_vars, self._n_constraints)
             if self._highs is not None:
-                sol = self._solve_live()
+                sol = _run(self._highs, self.name, self._maximize)
                 if sol is not None:
                     return sol
-            obs_metrics.counter(f"lp.live_fallbacks.{self.name}").inc()
+            obs_metrics.counter(f"lp.fallbacks.{self.name}").inc()
             return _solve_scipy(self.name, self._maximize,
                                 *self._current_args())
-
-    def _solve_live(self) -> LPSolution | None:
-        """The live re-solve; None when HiGHS ended in a failure status."""
-        highs = self._highs
-        highs.run()
-        status = highs.getModelStatus()
-        if status == _highs.HighsModelStatus.kOptimal:
-            obj = float(highs.getInfo().objective_function_value)
-            return LPSolution(
-                x=np.asarray(highs.getSolution().col_value, dtype=float),
-                objective=-obj if self._maximize else obj, status=0)
-        if status in (_highs.HighsModelStatus.kInfeasible,
-                      _highs.HighsModelStatus.kUnboundedOrInfeasible):
-            obs_metrics.counter(f"lp.infeasible.{self.name}").inc()
-            raise InfeasibleError(f"LP '{self.name}' failed: "
-                                  f"{highs.modelStatusToString(status)}")
-        highs.clearSolver()
-        return None
 
     def _current_args(self) -> tuple:
         c, a_ub, b_ub, a_eq, b_eq, bounds = self._args

@@ -1,8 +1,9 @@
 """Stage 1 on the live HiGHS model against the scipy-only path.
 
 Stage 1 scores its outlet-temperature probes on one live model per
-:func:`solve_stage1` call and commits the winner's cold
-:func:`scipy.optimize.linprog` solve (see :mod:`repro.optimize.linprog`).
+:func:`solve_stage1` call and commits the winner's cold solve, which is
+bit-identical to :func:`scipy.optimize.linprog`'s (see
+:mod:`repro.optimize.linprog`).
 These tests pin what that must not change: every probe's verdict, the
 committed bits, history independence, warm replay, the scipy fallback
 and the model's lifetime.
@@ -162,10 +163,9 @@ class TestFallback:
                                                            p_const=cap))
         scipy, counts = _counters(lambda: _scipy_only(dc, wl, cap))
         assert _bits(*scipy) == _bits(*live)
-        assert "lp.live_fallbacks.stage1" not in live_counts
-        # every LP but the commit is a probe on the (absent) live model
-        assert counts["lp.live_fallbacks.stage1"] \
-            == counts["lp.solves.stage1"] - 1
+        assert "lp.fallbacks.stage1" not in live_counts
+        # every probe and the cold commit ran on scipy.linprog
+        assert counts["lp.fallbacks.stage1"] == counts["lp.solves.stage1"]
         assert counts["lp.solves.stage1"] == live_counts["lp.solves.stage1"]
 
     def test_failed_resolve_reruns_probe_on_scipy(self, room, monkeypatch):
@@ -175,7 +175,7 @@ class TestFallback:
                             "simplex_iteration_limit", 3)
         failed, counts = _counters(lambda: solve_stage1(dc, wl,
                                                         p_const=cap))
-        assert counts["lp.live_fallbacks.stage1"] > 0
+        assert counts["lp.fallbacks.stage1"] > 0
         assert _bits(*failed) == reference
 
     def test_commit_clamp_keeps_the_probe_vertex(self, room, monkeypatch):

@@ -139,6 +139,23 @@ class TestWarmReplay:
         assert state2 is state
         assert state2.blocks is blocks        # structure caches reused
 
+    def test_sweep_settings_are_part_of_the_replay_key(self, fig6_scenario):
+        """The coupled fig6 room needs several sweeps; a warm call under
+        other sweep settings must re-solve, not replay the old result."""
+        sc = fig6_scenario
+        result, state = solve_stage1_zonal(
+            sc.datacenter, sc.workload, p_const=sc.p_const,
+            t_crac_out=T_FIXED)
+        assert result.sweeps > 1
+        one, state = solve_stage1_zonal(
+            sc.datacenter, sc.workload, p_const=sc.p_const,
+            t_crac_out=T_FIXED, max_sweeps=1, warm=state)
+        assert one.sweeps == 1
+        looser, _ = solve_stage1_zonal(
+            sc.datacenter, sc.workload, p_const=sc.p_const,
+            t_crac_out=T_FIXED, max_sweeps=1, tol_kw=1.0, warm=state)
+        assert looser is not one
+
     def test_fresh_state_built_without_warm(self, fig6_scenario):
         sc = fig6_scenario
         _, state = solve_stage1_zonal(

@@ -1,5 +1,7 @@
 """Tests for repro.optimize.linprog — the LP wrapper."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -195,7 +197,7 @@ class TestLive:
         snap = _metrics(run)
         assert snap["lp.infeasible.livetest"]["value"] == 1
         assert snap["lp.solves.livetest"]["value"] == 1
-        assert "lp.live_fallbacks.livetest" not in snap
+        assert "lp.fallbacks.livetest" not in snap
 
     def test_failure_status_reruns_on_scipy(self):
         from scipy.optimize._highspy import _core
@@ -209,7 +211,7 @@ class TestLive:
             sol = live.solve()
             assert sol.objective == pytest.approx(4.5)
         snap = _metrics(run)
-        assert snap["lp.live_fallbacks.livetest"]["value"] == 1
+        assert snap["lp.fallbacks.livetest"]["value"] == 1
         assert snap["lp.solves.livetest"]["value"] == 1
 
     def test_missing_binding_takes_scipy_path(self, monkeypatch):
@@ -225,7 +227,8 @@ class TestLive:
             with pytest.raises(InfeasibleError):
                 live.solve()
         snap = _metrics(run)
-        assert snap["lp.live_fallbacks.livetest"]["value"] == 2
+        # two live re-solves plus the cold reference solve
+        assert snap["lp.fallbacks.livetest"]["value"] == 3
 
     def test_only_le_rows_are_editable(self):
         lp = self._lp()
@@ -246,3 +249,86 @@ class TestLive:
     def test_empty_program_rejected(self):
         with pytest.raises(ValueError, match="no variables"):
             LinearProgram().live()
+
+
+class _Tampered(_Proxy):
+    """A HiGHS model whose reported row activities are off by ``shift``."""
+
+    def __init__(self, highs, shift):
+        super().__init__(highs)
+        self._shift = shift
+
+    def getSolution(self):
+        sol = self._highs.getSolution()
+        return SimpleNamespace(
+            col_value=sol.col_value,
+            row_value=[v + self._shift for v in sol.row_value])
+
+
+class TestCold:
+    def _lp(self):
+        lp = LinearProgram(maximize=True, name="coldtest")
+        lp.add_variables(2, lb=0.0, ub=2.0, objective=[1.0, 2.0])
+        lp.add_le_constraint({0: 1.0, 1: 1.0}, 3.0)
+        lp.add_eq_constraint({0: 1.0, 1: -1.0}, -1.0)
+        return lp
+
+    def _patch_model(self, monkeypatch, wrap):
+        import repro.optimize.linprog as linprog_mod
+
+        real = linprog_mod._pass_model
+        monkeypatch.setattr(linprog_mod, "_pass_model",
+                            lambda *args: wrap(real(*args)))
+
+    def test_post_check_rejects_a_violated_row(self, monkeypatch):
+        # HiGHS says optimal, but the binding <= row reads 1e-3 over b_ub
+        self._patch_model(monkeypatch, lambda h: _Tampered(h, 1e-3))
+
+        def run():
+            with pytest.raises(InfeasibleError, match="coldtest"):
+                self._lp().solve()
+        snap = _metrics(run)
+        assert snap["lp.infeasible.coldtest"]["value"] == 1
+        assert "lp.fallbacks.coldtest" not in snap
+
+    def test_post_check_tolerates_solver_noise(self, monkeypatch):
+        self._patch_model(monkeypatch, lambda h: _Tampered(h, 1e-6))
+        assert self._lp().solve().objective == pytest.approx(5.0)
+
+    def test_failure_status_reruns_on_scipy(self, monkeypatch):
+        from scipy.optimize._highspy import _core
+
+        reference = self._lp().solve()
+        self._patch_model(monkeypatch, lambda h: _Proxy(
+            h, _core.HighsModelStatus.kIterationLimit))
+        snap = _metrics(lambda: self._check_equal(reference))
+        assert snap["lp.fallbacks.coldtest"]["value"] == 1
+        assert snap["lp.solves.coldtest"]["value"] == 1
+
+    def test_missing_binding_solves_on_scipy_and_counts(self, monkeypatch):
+        import repro.optimize.linprog as linprog_mod
+
+        reference = self._lp().solve()
+        monkeypatch.setattr(linprog_mod, "_highs", None)
+
+        def run():
+            self._check_equal(reference)
+            lp = self._lp()
+            lp.add_le_constraint({0: 1.0}, -1.0)
+            with pytest.raises(InfeasibleError, match="coldtest"):
+                lp.solve()
+        snap = _metrics(run)
+        assert snap["lp.fallbacks.coldtest"]["value"] == 2
+        assert snap["lp.solves.coldtest"]["value"] == 2
+        assert snap["lp.infeasible.coldtest"]["value"] == 1
+
+    def test_non_finite_input_is_rejected_as_linprog_does(self):
+        lp = self._lp()
+        lp.add_le_constraint({0: 1.0}, np.inf)
+        with pytest.raises(ValueError, match="b_ub"):
+            lp.solve()
+
+    def _check_equal(self, reference):
+        sol = self._lp().solve()
+        assert sol.x.tobytes() == reference.x.tobytes()
+        assert sol.objective == reference.objective
