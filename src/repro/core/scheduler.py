@@ -61,41 +61,55 @@ class DynamicScheduler:
         with np.errstate(divide="ignore"):
             self.exec_time = np.where(ecs > 0.0, 1.0 / np.maximum(ecs, 1e-300),
                                       np.inf)
-        self.assigned = np.zeros((t_count, n_cores))
-        self._eligible = (tc > 0.0) & np.isfinite(self.exec_time)
+        eligible = (tc > 0.0) & np.isfinite(self.exec_time)
         # fault-injection support: dead cores are excluded from selection
         # until marked alive again; _any_dead keeps the healthy hot path
         # free of the extra mask.
         self._core_dead = np.zeros(n_cores, dtype=bool)
         self._any_dead = False
-        # hot-path acceleration: per-type candidate core lists (usually a
-        # small subset of the room) plus contiguous copies of their
-        # rates/exec-times, so select_core touches O(candidates) memory
+        # per-type candidate core lists (usually a small subset of the
+        # room) plus contiguous copies of their rates/exec-times, so
+        # select_core touches O(candidates) memory; _cand_assigned holds
+        # the one assignment count, and _cand_pos[i][k] is core k's
+        # position in type i's list (-1 when k is not a candidate)
         self._cand: list[np.ndarray] = []
         self._cand_tc: list[np.ndarray] = []
         self._cand_exec: list[np.ndarray] = []
         self._cand_assigned: list[np.ndarray] = []
+        cand_pos = np.full((t_count, n_cores), -1)
         for i in range(t_count):
-            idx = np.nonzero(self._eligible[i])[0]
+            idx = np.nonzero(eligible[i])[0]
+            cand_pos[i, idx] = np.arange(idx.size)
             self._cand.append(idx)
             self._cand_tc.append(np.ascontiguousarray(tc[i, idx]))
             self._cand_exec.append(
                 np.ascontiguousarray(self.exec_time[i, idx]))
             self._cand_assigned.append(np.zeros(idx.size))
+        self._cand_pos: list[list[int]] = cand_pos.tolist()
 
     # ------------------------------------------------------------------
+    @property
+    def assigned(self) -> np.ndarray:
+        """Assignment counts ``(T, NCORES)`` behind ``ATC``."""
+        out = np.zeros(self.tc.shape)
+        for i, idx in enumerate(self._cand):
+            out[i, idx] = self._cand_assigned[i]
+        return out
+
+    def _cand_ratios(self, task_type: int, now: float) -> np.ndarray:
+        """``ATC/TC`` of type ``task_type``'s candidate cores at ``now``."""
+        if now <= 0.0:
+            return np.zeros(self._cand[task_type].size)
+        return self._cand_assigned[task_type] \
+            / (self._cand_tc[task_type] * now)
+
     def ratios(self, task_type: int, now: float) -> np.ndarray:
         """``ATC(i, k) / TC(i, k)`` for one task type at time ``now``.
 
         Cores with ``TC = 0`` report ``inf`` so they are never selected.
         """
         out = np.full(self.tc.shape[1], np.inf)
-        mask = self._eligible[task_type]
-        if now <= 0.0:
-            out[mask] = 0.0
-            return out
-        out[mask] = (self.assigned[task_type, mask]
-                     / (self.tc[task_type, mask] * now))
+        out[self._cand[task_type]] = self._cand_ratios(task_type, now)
         return out
 
     def select_core(self, task_type: int, deadline: float, now: float,
@@ -109,25 +123,24 @@ class DynamicScheduler:
         idx = self._cand[task_type]
         if idx.size == 0:
             return None
-        if now <= 0.0:
-            ratio = np.zeros(idx.size)
-        else:
-            ratio = self._cand_assigned[task_type] \
-                / (self._cand_tc[task_type] * now)
+        ratio = self._cand_ratios(task_type, now)
         start = np.maximum(core_free_time[idx], now)
         finish = start + self._cand_exec[task_type]
         ok = (ratio <= 1.0 + 1e-12) & (finish <= deadline + 1e-12)
         if self._any_dead:
             ok &= ~self._core_dead[idx]
-        if not ok.any():
-            return None
         masked = np.where(ok, ratio, np.inf)
-        return int(idx[int(np.argmin(masked))])
+        best = int(masked.argmin())  # ties go to the first candidate
+        if masked[best] == np.inf:
+            return None
+        return int(idx[best])
 
     def record_assignment(self, task_type: int, core: int) -> None:
         """Count an assignment toward ``ATC``."""
-        self.assigned[task_type, core] += 1.0
         pos = self._candidate_pos(task_type, core)
+        if pos < 0:
+            raise ValueError(
+                f"core {core} is not a planned target for type {task_type}")
         self._cand_assigned[task_type][pos] += 1.0
 
     def forget_assignment(self, task_type: int, core: int) -> None:
@@ -138,21 +151,17 @@ class DynamicScheduler:
         work the core actually absorbed (and lets a requeued copy pick
         any core without double-counting).
         """
-        if self.assigned[task_type, core] < 1.0:
+        pos = self._candidate_pos(task_type, core)
+        if pos < 0 or self._cand_assigned[task_type][pos] < 1.0:
             raise ValueError(
                 f"no recorded assignment of type {task_type} on core {core} "
                 "to forget")
-        self.assigned[task_type, core] -= 1.0
-        pos = self._candidate_pos(task_type, core)
         self._cand_assigned[task_type][pos] -= 1.0
 
     def _candidate_pos(self, task_type: int, core: int) -> int:
-        cand = self._cand[task_type]
-        pos = int(np.searchsorted(cand, core))
-        if pos >= cand.size or cand[pos] != core:
-            raise ValueError(
-                f"core {core} is not a planned target for type {task_type}")
-        return pos
+        """``core``'s position in type ``task_type``'s candidates, or -1."""
+        row = self._cand_pos[task_type]
+        return row[core] if 0 <= core < len(row) else -1
 
     # ------------------------------------------------------------------
     def mark_cores_dead(self, cores: np.ndarray) -> None:

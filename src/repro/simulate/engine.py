@@ -7,6 +7,13 @@ every task finished by its deadline.  Because the scheduler only assigns
 tasks it can finish in time, assignment implies reward; completions are
 still simulated as events so busy time and queue depths are exact.
 
+Events pop in ``(time, kind, seq)`` order (see
+:mod:`repro.simulate.events`).  The trace's arrivals are not pushed one
+by one: they form one run sorted up front and merged with the event heap,
+numbered in the order the trace lists them.  A trace therefore need not
+be sorted — it replays exactly as the same tasks stably sorted by
+arrival, and the default horizon is the latest arrival.
+
 Fault injection (chaos-testing extension): the replay optionally
 consumes :class:`~repro.simulate.events.CoreOutage` windows.  A FAULT
 event kills a set of cores — queued-but-unfinished work on them is
@@ -55,11 +62,12 @@ def simulate_trace(datacenter: DataCenter, workload: Workload,
         Desired rates and P-states from a first-step assignment (either
         technique).
     trace:
-        Tasks sorted by arrival time (as produced by
-        :func:`repro.workload.trace.generate_trace`).
+        Tasks in any order (:func:`repro.workload.trace.generate_trace`
+        yields them sorted); replayed by arrival time, equal arrivals in
+        listing order.  A negative or NaN arrival raises ``ValueError``.
     duration:
-        Horizon used for rate metrics; defaults to the last arrival (or
-        1s for an empty trace).  Completions beyond the horizon still
+        Horizon used for rate metrics; defaults to the latest arrival
+        (or 1s for an empty trace).  Completions beyond the horizon still
         execute — the horizon only normalizes rates.
     collect_latency:
         Record per-task response times (memory ~ one float per task);
@@ -104,24 +112,25 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
     if stranded_policy not in STRANDED_POLICIES:
         raise ValueError(f"stranded_policy must be one of "
                          f"{STRANDED_POLICIES}, got {stranded_policy!r}")
+    queue = EventQueue((task.arrival, task) for task in trace)
     if duration is None:
-        duration = trace[-1].arrival if trace else 1.0
-        duration = max(duration, 1e-9)
+        last = queue.last_arrival
+        duration = max(1.0 if last is None else last, 1e-9)
     scheduler = DynamicScheduler(datacenter, workload, tc, pstates)
     n_cores = datacenter.n_cores
     t_count = workload.n_task_types
     core_free = np.zeros(n_cores)
-    busy = np.zeros(n_cores)
-    busy_by_type = np.zeros((t_count, n_cores))
+    # per-event bookkeeping lives in Python lists (numpy scalar access
+    # costs several times more); same IEEE arithmetic, converted at the end
+    rewards = workload.rewards.tolist()
+    exec_time = scheduler.exec_time.tolist()
+    busy = [0.0] * n_cores
+    busy_by_type = [[0.0] * n_cores for _ in range(t_count)]
     latencies: list[list[float]] | None = \
         [[] for _ in range(t_count)] if collect_latency else None
-    completed = np.zeros(t_count, dtype=int)
-    dropped = np.zeros(t_count, dtype=int)
+    completed = [0] * t_count
+    dropped = [0] * t_count
     total_reward = 0.0
-
-    queue = EventQueue()
-    for task in trace:
-        queue.push(task.arrival, EventKind.ARRIVAL, task)
 
     # fault-injection state -------------------------------------------
     have_faults = bool(faults)
@@ -149,31 +158,32 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
     def clip(t: float) -> float:
         return min(t, duration)
 
+    completion, fault, recovery = \
+        EventKind.COMPLETION, EventKind.FAULT, EventKind.RECOVERY
     prev_time = 0.0
     while queue:
-        event = queue.pop()
-        if event.time < prev_time - 1e-9:
+        now, kind, _, payload = queue.pop()
+        if now < prev_time - 1e-9:
             raise AssertionError("event times went backwards")
-        prev_time = event.time
-        if event.kind is EventKind.COMPLETION:
-            task_type, core, rec_id = event.payload
+        prev_time = now
+        if kind is completion:
+            task_type, core, rec_id = payload
             if rec_id in cancelled:
                 cancelled.discard(rec_id)
                 continue
             del inflight[core][rec_id]
             completed[task_type] += 1
-            total_reward += float(workload.rewards[task_type])
+            total_reward += rewards[task_type]
             continue
-        if event.kind is EventKind.FAULT:
+        if kind is fault:
             n_fault_events += 1
             newly_dead: list[int] = []
-            for core in event.payload:
+            for core in payload:
                 dead_count[core] += 1
                 if dead_count[core] == 1:
                     newly_dead.append(core)
             if newly_dead:
                 scheduler.mark_cores_dead(np.asarray(newly_dead))
-            now = event.time
             for core in newly_dead:
                 for rec_id, (task, start, finish, slot) \
                         in inflight[core].items():
@@ -183,7 +193,7 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
                     # it ran (at most) from its start until the crash
                     lost = max(0.0, clip(finish) - clip(max(start, now)))
                     busy[core] -= lost
-                    busy_by_type[task.task_type, core] -= lost
+                    busy_by_type[task.task_type][core] -= lost
                     if lat_removals is not None and slot is not None:
                         lat_removals[task.task_type].add(slot)
                     if stranded_policy == "requeue":
@@ -197,28 +207,28 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
                         stranded_dropped[task.task_type] += 1
                 inflight[core].clear()
             continue
-        if event.kind is EventKind.RECOVERY:
+        if kind is recovery:
             n_fault_events += 1
             newly_alive: list[int] = []
-            for core in event.payload:
+            for core in payload:
                 dead_count[core] -= 1
                 if dead_count[core] == 0:
                     newly_alive.append(core)
             if newly_alive:
                 scheduler.mark_cores_alive(np.asarray(newly_alive))
                 # the queue was cleared at crash time; the core restarts idle
-                core_free[np.asarray(newly_alive)] = event.time
+                core_free[np.asarray(newly_alive)] = now
             continue
-        task: Task = event.payload
-        core = scheduler.select_core(task.task_type, task.deadline,
+        task: Task = payload
+        task_type = task.task_type
+        core = scheduler.select_core(task_type, task.deadline,
                                      task.arrival, core_free)
         if core is None:
-            dropped[task.task_type] += 1
+            dropped[task_type] += 1
             continue
-        scheduler.record_assignment(task.task_type, core)
-        start = max(task.arrival, core_free[core])
-        exec_time = scheduler.exec_time[task.task_type, core]
-        finish = start + exec_time
+        scheduler.record_assignment(task_type, core)
+        start = max(task.arrival, core_free.item(core))
+        finish = start + exec_time[task_type][core]
         if finish > task.deadline + 1e-9:
             raise AssertionError(
                 "scheduler assigned a task it cannot finish in time")
@@ -228,13 +238,12 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
         # types may legally finish after the last arrival)
         clipped = max(0.0, clip(finish) - clip(start))
         busy[core] += clipped
-        busy_by_type[task.task_type, core] += clipped
+        busy_by_type[task_type][core] += clipped
         slot = None
         if latencies is not None:
-            slot = len(latencies[task.task_type])
-            latencies[task.task_type].append(finish - task.arrival)
-        queue.push(finish, EventKind.COMPLETION,
-                   (task.task_type, core, next_rec))
+            slot = len(latencies[task_type])
+            latencies[task_type].append(finish - task.arrival)
+        queue.push(finish, completion, (task_type, core, next_rec))
         inflight[core][next_rec] = (task, start, finish, slot)
         next_rec += 1
 
@@ -250,12 +259,12 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
     return SimulationMetrics(
         duration=float(duration),
         total_reward=total_reward,
-        completed=completed,
-        dropped=dropped,
+        completed=np.asarray(completed),
+        dropped=np.asarray(dropped),
         atc=scheduler.assigned / float(duration),
         tc=np.asarray(tc, dtype=float),
-        busy_time=busy,
-        busy_by_type=busy_by_type,
+        busy_time=np.asarray(busy),
+        busy_by_type=np.asarray(busy_by_type),
         response_times=response_times,
         stranded_requeued=stranded_requeued if have_faults else None,
         stranded_dropped=stranded_dropped if have_faults else None,

@@ -1,7 +1,19 @@
 """Minimal discrete-event kernel used by the data center simulator.
 
-A binary-heap event queue with a tie-breaking sequence number so that
-events at equal timestamps pop in insertion order (deterministic runs).
+Events are ordered by the tuple ``(time, kind, seq)``: earlier times
+first, then :class:`EventKind` order at equal times, then ``seq`` — a
+number unique within one queue, so events of one kind at one instant pop
+in the order they were scheduled (deterministic runs) and payloads are
+never compared.  :class:`Event` is a named tuple, so the heap compares
+native tuples.
+
+A queue holds two sources merged in :meth:`EventQueue.pop`: a heap for
+events pushed while the run goes on (completions, faults, recoveries,
+requeued arrivals) and one run of ARRIVAL events given up front (a task
+trace).  The run takes ``seq`` ``0 .. N-1`` in the order given and is
+sorted once, so it need not arrive sorted; already sorted input sorts
+in linear time.  Pushed events number on from ``N``.
+
 The kernel is deliberately tiny — arrivals, completions and the fault
 kinds the chaos-testing layer injects — but is kept separate from the
 engine so further extensions (P-state changes, thermal transients) have
@@ -13,9 +25,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any
+from typing import Any, Iterable, NamedTuple
 
 __all__ = ["EventKind", "Event", "EventQueue", "CoreOutage"]
 
@@ -66,50 +78,69 @@ class CoreOutage:
             raise ValueError("outage needs at least one core")
 
 
-@dataclass(order=True, frozen=True)
-class Event:
+class Event(NamedTuple):
     """One scheduled event.
 
-    Sort key is ``(time, kind, seq)``; ``payload`` is excluded from
-    ordering.
+    Sort key is ``(time, kind, seq)``; ``seq`` is unique within a queue,
+    so ``payload`` never takes part in ordering.
     """
 
     time: float
     kind: EventKind
     seq: int
-    payload: Any = field(compare=False, default=None)
+    payload: Any = None
+
+
+def _check_time(time: float) -> None:
+    if not time >= 0.0:
+        raise ValueError(f"event time must be non-negative, got {time}")
 
 
 class EventQueue:
-    """Heap-based future event list."""
+    """Future event list: a heap merged with one sorted arrival run.
 
-    def __init__(self) -> None:
+    ``arrivals`` are ``(time, payload)`` pairs that become ARRIVAL
+    events with ``seq`` ``0 .. N-1`` in the order given; times are
+    checked as :meth:`push` checks them.
+    """
+
+    def __init__(self, arrivals: Iterable[tuple[float, Any]] = ()) -> None:
+        run = [Event(float(time), EventKind.ARRIVAL, seq, payload)
+               for seq, (time, payload) in enumerate(arrivals)]
+        for event in run:
+            _check_time(event.time)
+        run.sort(reverse=True)  # earliest last: pops from the list's end
+        #: Latest time in the arrival run (``None`` for an empty run).
+        self.last_arrival: float | None = run[0].time if run else None
+        self._run = run
         self._heap: list[Event] = []
-        self._counter = itertools.count()
+        self._counter = itertools.count(len(run))
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         """Schedule an event; returns it (useful for assertions)."""
-        if not time >= 0.0:
-            raise ValueError(f"event time must be non-negative, got {time}")
-        event = Event(time=float(time), kind=kind, seq=next(self._counter),
-                      payload=payload)
+        _check_time(time)
+        event = Event(float(time), kind, next(self._counter), payload)
         heapq.heappush(self._heap, event)
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
-        if not self._heap:
+        run, heap = self._run, self._heap
+        if run and (not heap or run[-1] < heap[0]):
+            return run.pop()
+        if not heap:
             raise IndexError("pop from empty event queue")
-        return heapq.heappop(self._heap)
+        return heapq.heappop(heap)
 
     def peek_time(self) -> float:
         """Timestamp of the earliest event."""
-        if not self._heap:
+        heads = self._run[-1:] + self._heap[:1]
+        if not heads:
             raise IndexError("peek on empty event queue")
-        return self._heap[0].time
+        return min(heads).time
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._run) + len(self._heap)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._run or self._heap)

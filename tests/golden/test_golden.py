@@ -221,3 +221,71 @@ def test_chaos_golden(golden):
             "reward_retained": p.reward_retained,
         } for p in points],
     })
+
+
+def _digest(*arrays) -> str:
+    """sha256 over the raw bytes of ``arrays`` (lengths included)."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(str(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_des_replay_golden(golden):
+    """DES replays pinned bit for bit on one 10-node room.
+
+    Golden floats compare to 1e-6, so exactness comes through strings:
+    ``float.hex()`` of the reward and horizon, sha256 digests of the
+    ``atc``, busy-time and response-time bytes.  Covers a fault-free
+    replay (default horizon), core outages with each stranded-task
+    policy, and a replay without latency collection.
+    """
+    from repro.simulate.engine import simulate_trace
+    from repro.simulate.events import CoreOutage
+    from repro.workload.trace import generate_trace
+
+    sc = generate_scenario(scaled_down(PAPER_SET_1, 10), SEED)
+    plan = solve(SolveRequest(sc.datacenter, sc.workload, sc.p_const,
+                              options=SolveOptions(psi=50.0)))
+    trace = generate_trace(sc.workload, 20.0, np.random.default_rng(SEED))
+    n_cores = sc.datacenter.n_cores
+    outages = [
+        CoreOutage(start_s=5.0, cores=tuple(range(0, n_cores, 2)),
+                   end_s=12.0),
+        CoreOutage(start_s=8.0, cores=tuple(range(n_cores // 3))),
+    ]
+    cases = {
+        "fault_free": dict(),
+        "outage_requeue": dict(duration=20.0, faults=outages,
+                               stranded_policy="requeue"),
+        "outage_drop": dict(duration=20.0, faults=outages,
+                            stranded_policy="drop"),
+        "no_latency": dict(duration=20.0, collect_latency=False),
+    }
+
+    def counts(a):
+        return None if a is None else [int(v) for v in a]
+
+    document = {"n_tasks": len(trace)}
+    for name, kwargs in cases.items():
+        m = simulate_trace(sc.datacenter, sc.workload, plan.tc,
+                           plan.pstates, trace, **kwargs)
+        document[name] = {
+            "duration": float(m.duration).hex(),
+            "total_reward": float(m.total_reward).hex(),
+            "completed": counts(m.completed),
+            "dropped": counts(m.dropped),
+            "stranded_requeued": counts(m.stranded_requeued),
+            "stranded_dropped": counts(m.stranded_dropped),
+            "n_fault_events": int(m.n_fault_events),
+            "atc": _digest(m.atc),
+            "busy_time": _digest(m.busy_time),
+            "busy_by_type": _digest(m.busy_by_type),
+            "response_times": None if m.response_times is None
+            else _digest(*m.response_times),
+        }
+    golden("des_replay", document)
