@@ -7,17 +7,26 @@ technique would be deployed.  This module supplies the missing workload
 side of that deployment story: time-varying arrival-rate profiles and a
 non-homogeneous Poisson trace generator (standard thinning algorithm),
 consumed by :mod:`repro.core.controller`'s epoch-based re-assignment.
+
+Each profile writes its formula once, as ``rates_at(times)`` with shape
+``(len(times), T)``; the scalar ``rates(t)`` is its row
+(:class:`repro.workload.trace.BatchedProfile`).  The generator thins in
+two phases through :func:`repro.workload.trace.thin_tasks` — every
+random draw first, in an order that never depends on the rates, then one
+``rates_at`` call — and raises ``ValueError`` for a non-finite or
+non-positive duration and for rates outside ``[0, max_rates()]``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
 from repro.workload.tasktypes import Workload
-from repro.workload.trace import Task
+from repro.workload.trace import BatchedProfile, Task, thin_tasks
 
 __all__ = ["ArrivalProfile", "ConstantProfile", "DiurnalProfile",
            "StepProfile", "generate_nonstationary_trace"]
@@ -30,26 +39,30 @@ class ArrivalProfile(Protocol):
         """Arrival-rate vector (tasks/s per type) at time ``t``."""
         ...
 
+    def rates_at(self, times: np.ndarray) -> np.ndarray:
+        """Rate vectors at each of ``times``, shape ``(len(times), T)``."""
+        ...
+
     def max_rates(self) -> np.ndarray:
         """Upper bound of :meth:`rates` over all ``t`` (for thinning)."""
         ...
 
 
 @dataclass(frozen=True)
-class ConstantProfile:
+class ConstantProfile(BatchedProfile):
     """The paper's stationary workload, as a profile."""
 
     base_rates: np.ndarray
 
-    def rates(self, t: float) -> np.ndarray:
-        return self.base_rates
+    def rates_at(self, times: np.ndarray) -> np.ndarray:
+        return np.tile(self.base_rates, (len(times), 1))
 
     def max_rates(self) -> np.ndarray:
         return self.base_rates
 
 
 @dataclass(frozen=True)
-class DiurnalProfile:
+class DiurnalProfile(BatchedProfile):
     """Sinusoidal day/night modulation around the base rates.
 
     ``rates(t) = base * (1 + amplitude * sin(2 pi (t - phase) / period))``
@@ -76,17 +89,18 @@ class DiurnalProfile:
         if self.period_s <= 0:
             raise ValueError("period must be positive")
 
-    def rates(self, t: float) -> np.ndarray:
+    def rates_at(self, times: np.ndarray) -> np.ndarray:
         factor = 1.0 + self.amplitude * np.sin(
-            2.0 * np.pi * (t - self.phase_s) / self.period_s)
-        return self.base_rates * factor
+            2.0 * np.pi * (np.asarray(times, dtype=float) - self.phase_s)
+            / self.period_s)
+        return self.base_rates * factor[:, None]
 
     def max_rates(self) -> np.ndarray:
         return self.base_rates * (1.0 + self.amplitude)
 
 
 @dataclass(frozen=True)
-class StepProfile:
+class StepProfile(BatchedProfile):
     """Piecewise-constant rates — load surges / regime changes.
 
     ``boundaries`` are the instants where the rate vector switches to the
@@ -110,10 +124,10 @@ class StepProfile:
         if np.any(levels < 0):
             raise ValueError("rates must be non-negative")
 
-    def rates(self, t: float) -> np.ndarray:
-        level = int(np.searchsorted(np.asarray(self.boundaries), t,
-                                    side="right"))
-        return np.asarray(self.rate_levels)[level]
+    def rates_at(self, times: np.ndarray) -> np.ndarray:
+        levels = np.searchsorted(np.asarray(self.boundaries), times,
+                                 side="right")
+        return np.asarray(self.rate_levels)[levels]
 
     def max_rates(self) -> np.ndarray:
         return np.asarray(self.rate_levels).max(axis=0)
@@ -131,25 +145,7 @@ def generate_nonstationary_trace(workload: Workload,
     Deadlines use the workload's per-type slack as in the stationary
     generator.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    max_rates = np.asarray(profile.max_rates(), dtype=float)
-    if max_rates.shape != (workload.n_task_types,):
-        raise ValueError("profile dimension does not match workload")
-    arrivals: list[tuple[float, int]] = []
-    for i, rate_max in enumerate(max_rates):
-        if rate_max <= 0:
-            continue
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / rate_max)
-            if t >= duration:
-                break
-            accept = profile.rates(t)[i] / rate_max
-            if rng.uniform() <= accept:
-                arrivals.append((t, i))
-    arrivals.sort()
-    slack = workload.deadline_slack
-    return [Task(arrival=t, task_type=i, uid=uid,
-                 deadline=t + float(slack[i]))
-            for uid, (t, i) in enumerate(arrivals)]
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(
+            f"duration must be finite and positive, got {duration}")
+    return thin_tasks(workload, profile, 0.0, duration, 0, rng)

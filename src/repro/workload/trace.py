@@ -14,10 +14,30 @@ patterns the service is stress-tested against: sudden flash-crowd
 bursts and slow regional demand shifts between task types.  The
 combinators duck-type the profile protocol rather than import it, since
 :mod:`repro.workload.profiles` already imports :class:`Task` from here.
+
+Every non-stationary stream — :func:`stream_trace_ticks` per tick and
+:func:`repro.workload.profiles.generate_nonstationary_trace` over its
+whole horizon — is drawn by one Lewis-Shedler helper,
+:func:`thin_tasks`, in two phases.  Phase 1 draws the candidates in a
+fixed order: per task type in index order, exponential gaps at the
+type's maximum rate, one uniform per candidate inside the window, and a
+last gap that crosses the window's end with no uniform after it.  The
+draws therefore never depend on the rates.  Phase 2 evaluates the rates
+of every candidate in one ``profile.rates_at(times)`` call, checks them
+against ``0 <= rates <= max_rates()`` and keeps a candidate when its
+uniform is ``<= rate / max_rate``.  Profiles implement the batched
+``rates_at(times) -> (len(times), T)`` once; the scalar ``rates(t)`` is
+its row (:class:`BatchedProfile`).
+
+``ValueError`` is raised for a non-finite or non-positive tick length
+or duration (the candidate loop would never reach the window's end), a
+negative or non-finite ``max_rates()``, and rates outside
+``[0, max_rates()]`` — an understated bound would silently under-sample.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -25,8 +45,9 @@ import numpy as np
 
 from repro.workload.tasktypes import Workload
 
-__all__ = ["Task", "generate_trace", "FlashCrowdProfile",
-           "RegionalShiftProfile", "TickDemand", "stream_trace_ticks"]
+__all__ = ["Task", "generate_trace", "BatchedProfile", "FlashCrowdProfile",
+           "RegionalShiftProfile", "TickDemand", "stream_trace_ticks",
+           "thin_tasks"]
 
 
 @dataclass(frozen=True, order=True)
@@ -85,8 +106,77 @@ def generate_trace(workload: Workload, duration: float,
             for uid, (t, i) in enumerate(arrivals)]
 
 
+class BatchedProfile:
+    """Scalar ``rates(t)`` as the one row of ``rates_at([t])``.
+
+    Each profile writes its formula once, batched over instants; the
+    scalar form returns the same bytes as the matching batched row.
+    """
+
+    def rates(self, t: float) -> np.ndarray:
+        """Arrival-rate vector (tasks/s per type) at time ``t``."""
+        return self.rates_at(np.array([t], dtype=float))[0]
+
+
+def thin_tasks(workload: Workload, profile: object, start: float,
+               end: float, first_uid: int,
+               rng: np.random.Generator) -> list[Task]:
+    """Lewis-Shedler thinning of ``profile`` over ``[start, end)``.
+
+    Phase 1 draws each type's candidates at ``profile.max_rates()`` (the
+    draw order is in the module docstring); phase 2 accepts them against
+    one batched ``profile.rates_at`` call.  Returns the accepted tasks in
+    ``(arrival, type)`` order, uids from ``first_uid``, deadlines from
+    the workload's slack.  ``start`` and ``end`` must be finite.
+    """
+    max_rates = np.asarray(profile.max_rates(), dtype=float)
+    if max_rates.shape != (workload.n_task_types,):
+        raise ValueError("profile dimension does not match workload")
+    if not np.all(np.isfinite(max_rates) & (max_rates >= 0.0)):
+        raise ValueError(f"{type(profile).__name__}.max_rates() must be "
+                         f"finite and non-negative, got {max_rates}")
+    times: list[float] = []
+    draws: list[float] = []
+    counts = [0] * max_rates.size
+    # rng.random() is bit-equal to rng.uniform() and cheaper per call
+    exponential, uniform = rng.exponential, rng.random
+    add_time, add_draw = times.append, draws.append
+    for i, rate_max in enumerate(max_rates.tolist()):
+        if rate_max <= 0:
+            continue
+        scale = 1.0 / rate_max
+        first = len(times)
+        t = start + exponential(scale)
+        while t < end:
+            add_time(t)
+            add_draw(uniform())
+            t += exponential(scale)
+        counts[i] = len(times) - first
+    if not times:
+        return []
+    at = np.array(times)
+    kind = np.repeat(np.arange(max_rates.size), counts)
+    rates = np.asarray(profile.rates_at(at), dtype=float)
+    valid = (rates >= 0.0) & (rates <= max_rates)
+    if not valid.all():
+        bad = int(np.argmin(valid.all(axis=1)))
+        raise ValueError(
+            f"{type(profile).__name__} rates at t={times[bad]!r} are "
+            f"outside [0, max_rates()]: {rates[bad]} vs {max_rates}")
+    rate = rates[np.arange(at.size), kind]
+    keep = np.array(draws) <= rate / max_rates[kind]
+    at, kind = at[keep], kind[keep]
+    # types come in index order, so a stable sort on time is the
+    # (arrival, type) order
+    order = np.argsort(at, kind="stable")
+    at, kind = at[order], kind[order]
+    return list(map(Task, at.tolist(), kind.tolist(),
+                    range(first_uid, first_uid + at.size),
+                    (at + workload.deadline_slack[kind]).tolist()))
+
+
 @dataclass(frozen=True)
-class FlashCrowdProfile:
+class FlashCrowdProfile(BatchedProfile):
     """Flash-crowd bursts multiplied onto an inner profile.
 
     Each burst is ``(start_s, duration_s, magnitude)``: every task
@@ -111,16 +201,13 @@ class FlashCrowdProfile:
                 raise ValueError(
                     f"burst start must be non-negative, got {start}")
 
-    def _factor(self, t: float) -> float:
-        factor = 1.0
+    def rates_at(self, times: np.ndarray) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        factor = np.ones(times.shape)
         for start, duration, magnitude in self.bursts:
-            if start <= t < start + duration:
-                factor *= magnitude
-        return factor
-
-    def rates(self, t: float) -> np.ndarray:
-        return np.asarray(self.inner.rates(t), dtype=float) \
-            * self._factor(t)
+            factor[(start <= times) & (times < start + duration)] *= magnitude
+        return np.asarray(self.inner.rates_at(times), dtype=float) \
+            * factor[:, None]
 
     def max_rates(self) -> np.ndarray:
         # valid thinning bound: assume every amplifying burst overlaps
@@ -131,7 +218,7 @@ class FlashCrowdProfile:
 
 
 @dataclass(frozen=True)
-class RegionalShiftProfile:
+class RegionalShiftProfile(BatchedProfile):
     """Slow demand shift *between* task types (regions) over a cycle.
 
     Each task type ``i`` is modulated by
@@ -152,14 +239,13 @@ class RegionalShiftProfile:
         if self.period_s <= 0:
             raise ValueError("period must be positive")
 
-    def _factors(self, t: float, n: int) -> np.ndarray:
+    def rates_at(self, times: np.ndarray) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        base = np.asarray(self.inner.rates_at(times), dtype=float)
+        n = base.shape[1]
         phase = 2.0 * np.pi * np.arange(n) / max(n, 1)
-        return 1.0 + self.amplitude * np.sin(
-            2.0 * np.pi * t / self.period_s + phase)
-
-    def rates(self, t: float) -> np.ndarray:
-        base = np.asarray(self.inner.rates(t), dtype=float)
-        return base * self._factors(t, base.size)
+        return base * (1.0 + self.amplitude * np.sin(
+            (2.0 * np.pi * times / self.period_s)[:, None] + phase))
 
     def max_rates(self) -> np.ndarray:
         return np.asarray(self.inner.max_rates(), dtype=float) \
@@ -193,40 +279,22 @@ def stream_trace_ticks(workload: Workload, profile: object, tick_s: float,
                        ) -> Iterator[TickDemand]:
     """Yield one :class:`TickDemand` per control tick.
 
-    Arrivals are sampled per tick by Lewis-Shedler thinning against the
-    profile's global maximum rates; because Poisson increments over
-    disjoint windows are independent, restarting the candidate stream at
-    each tick boundary is still an exact simulation of the
-    inhomogeneous process.  Task uids number the stream continuously.
+    Arrivals are sampled per tick by Lewis-Shedler thinning
+    (:func:`thin_tasks`) against the profile's global maximum rates;
+    because Poisson increments over disjoint windows are independent,
+    restarting the candidate stream at each tick boundary is still an
+    exact simulation of the inhomogeneous process.  Task uids number the
+    stream continuously.  Ticks are generated lazily, one per ``next()``.
     """
-    if tick_s <= 0:
-        raise ValueError(f"tick length must be positive, got {tick_s}")
+    if not (math.isfinite(tick_s) and tick_s > 0):
+        raise ValueError(
+            f"tick length must be finite and positive, got {tick_s}")
     if n_ticks <= 0:
         raise ValueError(f"tick count must be positive, got {n_ticks}")
-    max_rates = np.asarray(profile.max_rates(), dtype=float)
-    if max_rates.shape != (workload.n_task_types,):
-        raise ValueError("profile dimension does not match workload")
-    slack = workload.deadline_slack
     uid = 0
     for index in range(n_ticks):
         a = index * tick_s
-        b = a + tick_s
-        arrivals: list[tuple[float, int]] = []
-        for i, rate_max in enumerate(max_rates):
-            if rate_max <= 0:
-                continue
-            t = a
-            while True:
-                t += rng.exponential(1.0 / rate_max)
-                if t >= b:
-                    break
-                if rng.uniform() <= profile.rates(t)[i] / rate_max:
-                    arrivals.append((t, i))
-        arrivals.sort()
-        tasks = tuple(
-            Task(arrival=t, task_type=i, uid=uid + j,
-                 deadline=t + float(slack[i]))
-            for j, (t, i) in enumerate(arrivals))
+        tasks = tuple(thin_tasks(workload, profile, a, a + tick_s, uid, rng))
         uid += len(tasks)
         yield TickDemand(index=index, start_s=a,
                          rates=np.asarray(profile.rates(a), dtype=float),

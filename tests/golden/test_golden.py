@@ -289,3 +289,52 @@ def test_des_replay_golden(golden):
             else _digest(*m.response_times),
         }
     golden("des_replay", document)
+
+
+def _task_stream_digest(tasks) -> str:
+    """sha256 over ``float.hex`` of every task's arrival and deadline."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for task in tasks:
+        h.update(f"{task.arrival.hex()} {task.task_type} {task.uid} "
+                 f"{task.deadline.hex()}\n".encode())
+    return h.hexdigest()
+
+
+def test_arrival_stream_golden(golden):
+    """Thinned arrival streams pinned bit for bit on one 12-node room.
+
+    ``repro serve --trace composite`` at three CLI seeds (the stream is
+    drawn from ``seed + 1`` exactly as the CLI does), hashed per task
+    and per tick rate vector, plus ``generate_nonstationary_trace`` on
+    the same composite profile and on a step profile.
+    """
+    from repro.cli import _serve_profile
+    from repro.workload import (StepProfile, generate_nonstationary_trace,
+                                stream_trace_ticks)
+
+    sc = generate_scenario(scaled_down(PAPER_SET_1, 12), SEED)
+    rates = sc.workload.arrival_rates
+    tick_s, n_ticks = 2.0, 15
+    profile = _serve_profile("composite", rates, tick_s, n_ticks)
+    document = {}
+    for seed in (1, 2, 7):
+        ticks = list(stream_trace_ticks(sc.workload, profile, tick_s,
+                                        n_ticks,
+                                        np.random.default_rng(seed + 1)))
+        document[f"serve_seed{seed}"] = {
+            "n_tasks": sum(len(t.tasks) for t in ticks),
+            "tasks": _task_stream_digest(
+                task for t in ticks for task in t.tasks),
+            "rates": _digest(*(t.rates for t in ticks)),
+        }
+    step = StepProfile(boundaries=np.array([10.0, 20.0]),
+                       rate_levels=np.stack([0.5 * rates, 1.5 * rates,
+                                             rates]))
+    for name, p in (("composite", profile), ("step", step)):
+        trace = generate_nonstationary_trace(
+            sc.workload, p, tick_s * n_ticks, np.random.default_rng(SEED))
+        document[f"nonstationary_{name}"] = {
+            "n_tasks": len(trace), "tasks": _task_stream_digest(trace)}
+    golden("arrival_stream", document)

@@ -8,6 +8,8 @@ from repro.workload.profiles import (ConstantProfile, DiurnalProfile,
                                      generate_nonstationary_trace)
 from repro.workload.tasktypes import Workload
 
+from tests.workload.test_trace import BoundedRng, FixedRates
+
 
 def tiny_workload(rates) -> Workload:
     t = len(rates)
@@ -105,3 +107,16 @@ class TestNonstationaryTrace:
         with pytest.raises(ValueError, match="positive"):
             generate_nonstationary_trace(wl, p, -1.0,
                                          np.random.default_rng(0))
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        wl = tiny_workload([1.0])
+        p = ConstantProfile(np.asarray([1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            generate_nonstationary_trace(wl, p, duration, BoundedRng())
+
+    def test_understated_bound_rejected(self):
+        wl = tiny_workload([1.0])
+        with pytest.raises(ValueError, match="FixedRates rates at t="):
+            generate_nonstationary_trace(wl, FixedRates([3.0], [2.0]),
+                                         10.0, np.random.default_rng(0))

@@ -9,6 +9,46 @@ from repro.workload.tasktypes import Workload
 from repro.workload.trace import Task, generate_trace
 
 
+class BoundedRng:
+    """A generator that fails the test rather than feed an endless loop."""
+
+    def __init__(self, budget: int = 10_000) -> None:
+        self._rng = np.random.default_rng(0)
+        self._left = budget
+
+    def _draw(self, name, *args):
+        self._left -= 1
+        if self._left < 0:
+            raise AssertionError("thinning did not reach the window's end")
+        return getattr(self._rng, name)(*args)
+
+    def exponential(self, scale=1.0):
+        return self._draw("exponential", scale)
+
+    def uniform(self):
+        return self._draw("uniform")
+
+    def random(self):
+        return self._draw("random")
+
+
+class FixedRates:
+    """A duck-typed profile: constant ``rates`` under a chosen bound."""
+
+    def __init__(self, rates, bound) -> None:
+        self._rates = np.asarray(rates, dtype=float)
+        self._bound = np.asarray(bound, dtype=float)
+
+    def rates_at(self, times):
+        return np.tile(self._rates, (len(times), 1))
+
+    def rates(self, t):
+        return self._rates
+
+    def max_rates(self):
+        return self._bound
+
+
 def tiny_workload(rates) -> Workload:
     t = len(rates)
     ecs = np.ones((t, 1, 2))
@@ -215,3 +255,35 @@ class TestStreamTraceTicks:
         with pytest.raises(ValueError, match="dimension"):
             next(stream_trace_ticks(wl, self._profile([1.0]), 1.0, 1,
                                     np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("tick_s", [float("nan"), float("inf")])
+    def test_non_finite_tick_length_rejected(self, tick_s):
+        from repro.workload.trace import stream_trace_ticks
+
+        wl = tiny_workload([1.0])
+        with pytest.raises(ValueError, match="finite"):
+            next(stream_trace_ticks(wl, self._profile([1.0]), tick_s, 2,
+                                    BoundedRng()))
+
+    @pytest.mark.parametrize("rates, bound", [
+        ([2.0, 1.0], [1.0, 1.0]),           # bound understated
+        ([-0.5, 1.0], [1.0, 1.0]),          # negative rate
+        ([float("nan"), 1.0], [1.0, 1.0]),  # NaN rate
+        ([0.5, 1.0], [0.0, 1.0]),           # rate above a zero bound
+    ])
+    def test_rates_outside_bound_rejected(self, rates, bound):
+        from repro.workload.trace import stream_trace_ticks
+
+        wl = tiny_workload([1.0, 1.0])
+        with pytest.raises(ValueError, match="FixedRates rates at t="):
+            next(stream_trace_ticks(wl, FixedRates(rates, bound), 10.0, 1,
+                                    np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("bound", [float("inf"), float("nan"), -1.0])
+    def test_bad_bound_rejected(self, bound):
+        from repro.workload.trace import stream_trace_ticks
+
+        wl = tiny_workload([1.0])
+        with pytest.raises(ValueError, match="max_rates"):
+            next(stream_trace_ticks(wl, FixedRates([1.0], [bound]), 1.0, 1,
+                                    BoundedRng()))
